@@ -12,8 +12,12 @@ all: build test lint
 build:
 	$(GO) build ./...
 
+# perfbench is a nested module, so ./... at the root skips it; vet and test
+# it explicitly so an API change under internal/ cannot break it silently.
 test:
 	$(GO) test ./...
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 race:
 	$(GO) test -race ./...

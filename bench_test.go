@@ -124,7 +124,7 @@ func BenchmarkFig7(b *testing.B) {
 			if pat.p == workload.PatternWavefront {
 				base = baselines.wavefront
 			} else if pat.p != workload.PatternIndependent {
-				base = 0 // per-pattern baselines are in nexusbench fig7
+				base = 0 // per-pattern baselines are in nexusbench exp fig7
 			}
 			simOnce(b, core.DefaultConfig(64), func() workload.Source {
 				return workload.Grid(workload.GridConfig{Pattern: pat.p, Seed: 42})
@@ -262,7 +262,7 @@ func BenchmarkRuntimeThroughput(b *testing.B) {
 // sharding must win; on one globally contended key the dependency chain
 // itself is serial and no resolver design can help. Both are measured as
 // full Submit→completion throughput (tasks/s, submission from GOMAXPROCS
-// goroutines, Barrier included). `go run ./cmd/nexusbench shards` prints
+// goroutines, Barrier included). `go run ./cmd/nexusbench exp shards` prints
 // the same comparison as a table.
 func BenchmarkShardScalability(b *testing.B) {
 	resolvers := []struct {
@@ -340,8 +340,9 @@ func BenchmarkShardScalability(b *testing.B) {
 // Submit→completion loop with the event layer off (the default — must stay
 // within noise of the uninstrumented runtime, since "off" costs one nil
 // check per emission point), with bank counters, and with full event
-// recording. CI runs it at -benchtime=1x as a smoke; compare off vs the
-// BENCH_<pr>.json trajectory for the regression check.
+// recording. CI runs it at -benchtime=1x as a smoke. The end-to-end
+// regression check is perfbench (perfbench/README.md), which runs the
+// runtime with the event layer off.
 func BenchmarkObsOverhead(b *testing.B) {
 	configs := []struct {
 		name string
@@ -379,7 +380,8 @@ func BenchmarkObsOverhead(b *testing.B) {
 // Submit→completion loop with injection off (nil injector — one nil check
 // per task, must stay within noise), with an armed injector whose rule
 // never fires (the hash is paid, the fault is not), and with live injection
-// plus retries recovering every injected failure. BENCH_10.json records the
+// plus retries recovering every injected failure. perfbench
+// (perfbench/README.md) runs with injection off, so its numbers are the
 // off-configuration baseline.
 func BenchmarkFaultOverhead(b *testing.B) {
 	configs := []struct {

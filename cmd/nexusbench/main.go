@@ -9,7 +9,6 @@
 //	nexusbench golden [-check|-regen] [-dir=<path>] [-case=<name>]
 //	nexusbench exp    [flags] [experiment...]
 //	nexusbench serve  [-addr=<url>] [-clients=N] [-tasks=N] [flags]
-//	nexusbench bench  [-out=<path>] [-seed=N] [-repeat=N]
 //	nexusbench chaos  [-seed=N] [-scenarios=all] [-repeat=N] [-json=<path>]
 //	nexusbench trace  [-workload=<name>] [-o=trace.json] [flags]
 //
@@ -27,16 +26,11 @@
 //
 // `exp` regenerates the paper's tables and figures: table2, fig6, fig7,
 // fig8, headline, ablation-buffering, ablation-dummies, ablation-ports,
-// ablation-renaming, rts, nexus, cholesky, shards, all (default). For
-// backward compatibility, invoking nexusbench with experiment names (or
-// experiment flags) and no subcommand is treated as `exp`.
+// ablation-renaming, rts, nexus, cholesky, shards, all (default).
 //
 // `serve` is the service smoke: concurrent clients drive a nexusd daemon
 // (a running one via -addr, or an in-process loopback server) with
 // overlapping-address task graphs and verify per-session accounting.
-//
-// `bench` records the fixed performance sweep committed as BENCH_<pr>.json:
-// maestro vs the sharded runtime on zero-cost replays.
 //
 // `chaos` runs the seeded fault-injection scenarios of internal/chaos —
 // task panics, hangs under deadlines, retry recovery, duplicated and
@@ -47,8 +41,10 @@
 // writes its lifecycle event log as Chrome trace-viewer JSON for
 // chrome://tracing / Perfetto timeline inspection.
 //
-// Unknown backend, workload, or experiment names fail with an error listing
-// the valid names.
+// A missing or unknown subcommand prints the usage and exits 2. Unknown
+// backend, workload, or experiment names fail with an error listing the
+// valid names. The repository's performance benchmark is the perfbench
+// module (see perfbench/README.md).
 package main
 
 import (
@@ -83,8 +79,6 @@ func main() {
 			os.Exit(expCmd(args[1:]))
 		case "serve":
 			os.Exit(serveCmd(args[1:]))
-		case "bench":
-			os.Exit(benchCmd(args[1:]))
 		case "chaos":
 			os.Exit(chaosCmd(args[1:]))
 		case "trace":
@@ -94,8 +88,11 @@ func main() {
 			os.Exit(0)
 		}
 	}
-	// Back-compat: no subcommand means the old experiment-driver CLI.
-	os.Exit(expCmd(args))
+	if len(args) > 0 {
+		fmt.Fprintf(os.Stderr, "nexusbench: unknown subcommand %q\n", args[0])
+	}
+	usage(os.Stderr)
+	os.Exit(2)
 }
 
 func usage(w io.Writer) {
@@ -104,9 +101,8 @@ func usage(w io.Writer) {
 	fmt.Fprintln(w, "       nexusbench golden [-check|-regen] [-dir=<path>] [-case=<name>]")
 	fmt.Fprintln(w, "       nexusbench exp [flags] [experiment...]")
 	fmt.Fprintln(w, "       nexusbench serve [-addr=<url>] [-clients=N] [-tasks=N] [flags]")
-	fmt.Fprintln(w, "       nexusbench bench [-out=<path>] [-seed=N] [-repeat=N]")
 	fmt.Fprintln(w, "       nexusbench chaos [-seed=N] [-scenarios=all] [-repeat=N] [-json=<path>]")
-	fmt.Fprintln(w, "       nexusbench trace [-backend=runtime] [-workload=<name>] [-o=trace.json] [flags]")
+	fmt.Fprintln(w, "       nexusbench trace [-workload=<name>] [-o=trace.json] [flags]")
 	fmt.Fprintln(w, "run 'nexusbench list' for backends and workloads,")
 	fmt.Fprintln(w, "    'nexusbench exp unknown' for the experiment names.")
 }

@@ -1,8 +1,7 @@
 // Package analysis is the dependency-free core of nexusvet, the project's
 // static checker for the concurrency invariants the runtime relies on by
 // convention: sorted bank-lock acquisition, handle-error consumption,
-// context threading, scoped service keys, and the retirement of the legacy
-// Task.Run body.
+// context threading and scoped service keys.
 //
 // It deliberately mirrors the shape of golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Diagnostic) so the analyzers read like standard vet

@@ -10,7 +10,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -415,4 +417,93 @@ func newStubServer(t *testing.T, h http.HandlerFunc) *httptest.Server {
 	hs := httptest.NewServer(h)
 	t.Cleanup(hs.Close)
 	return hs
+}
+
+// TestServiceWireDurationBounds pins the range check on every wire
+// duration. Each value below used to wrap silently in time.Duration
+// arithmetic: a multi-century timeout_ms became a ~448µs deadline, an
+// exec_us became a ~384ns body, and a value past MaxInt64/1e6 turned
+// negative, which reads as "no deadline". Submit and session create now
+// reject such values with 400, and await clamps them to its 2-minute cap.
+func TestServiceWireDurationBounds(t *testing.T) {
+	const (
+		msWrapsTiny     = 18446744073710    // ×1ms wraps to ~448µs
+		msWrapsNegative = 9223372036855     // ×1ms wraps below zero
+		usWrapsTiny     = 18446744073709552 // ×1µs wraps to ~384ns
+	)
+	d := startDaemon(t, service.Config{Workers: 2})
+	post := func(t *testing.T, path, body string, out any) int {
+		t.Helper()
+		resp, err := d.client.HTTP.Post(d.http.URL+path, "application/json", bytes.NewBufferString(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if out != nil && resp.StatusCode < 300 {
+			if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return resp.StatusCode
+	}
+	open := func(t *testing.T) string {
+		t.Helper()
+		var info service.SessionInfo
+		if code := post(t, "/v1/sessions", `{}`, &info); code != http.StatusCreated {
+			t.Fatalf("create session = %d", code)
+		}
+		return info.Session
+	}
+	task := func(field string, v int64) string {
+		return fmt.Sprintf(`{"tasks":[{"params":[{"addr":1,"mode":"inout"}],%q:%d}]}`, field, v)
+	}
+
+	for _, tc := range []struct {
+		name string
+		op   string // "create", "submit" or "await"
+		body string
+		want int // HTTP status
+	}{
+		{"deadline_ms in range", "create", `{"deadline_ms":60000}`, http.StatusCreated},
+		{"deadline_ms negative", "create", `{"deadline_ms":-1}`, http.StatusBadRequest},
+		{"deadline_ms wraps tiny", "create", fmt.Sprintf(`{"deadline_ms":%d}`, msWrapsTiny), http.StatusBadRequest},
+		{"deadline_ms wraps negative", "create", fmt.Sprintf(`{"deadline_ms":%d}`, msWrapsNegative), http.StatusBadRequest},
+		{"timeout_ms in range", "submit", task("timeout_ms", 60000), http.StatusOK},
+		{"timeout_ms negative", "submit", task("timeout_ms", -1), http.StatusBadRequest},
+		{"timeout_ms wraps tiny", "submit", task("timeout_ms", msWrapsTiny), http.StatusBadRequest},
+		{"timeout_ms wraps negative", "submit", task("timeout_ms", msWrapsNegative), http.StatusBadRequest},
+		{"exec_us negative is an empty body", "submit", task("exec_us", -5), http.StatusOK},
+		{"exec_us min int64 is an empty body", "submit", task("exec_us", math.MinInt64), http.StatusOK},
+		{"exec_us wraps tiny", "submit", task("exec_us", usWrapsTiny), http.StatusBadRequest},
+		{"await timeout_ms wraps tiny", "await", fmt.Sprintf(`{"timeout_ms":%d}`, msWrapsTiny), http.StatusOK},
+		{"await timeout_ms wraps negative", "await", fmt.Sprintf(`{"timeout_ms":%d}`, msWrapsNegative), http.StatusOK},
+		{"await timeout_ms max int64", "await", fmt.Sprintf(`{"timeout_ms":%d}`, int64(math.MaxInt64)), http.StatusOK},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			switch tc.op {
+			case "create":
+				if code := post(t, "/v1/sessions", tc.body, nil); code != tc.want {
+					t.Fatalf("create session %s = %d, want %d", tc.body, code, tc.want)
+				}
+			case "submit":
+				if code := post(t, "/v1/sessions/"+open(t)+"/submit", tc.body, nil); code != tc.want {
+					t.Fatalf("submit %s = %d, want %d", tc.body, code, tc.want)
+				}
+			case "await":
+				// A 50ms task outlives a wrapped (tiny or negative) wait, so
+				// only a clamped timeout sees it finish.
+				id := open(t)
+				if code := post(t, "/v1/sessions/"+id+"/submit", task("exec_us", 50000), nil); code != http.StatusOK {
+					t.Fatalf("submit = %d", code)
+				}
+				var resp service.AwaitResponse
+				if code := post(t, "/v1/sessions/"+id+"/await", tc.body, &resp); code != tc.want {
+					t.Fatalf("await %s = %d, want %d", tc.body, code, tc.want)
+				}
+				if !resp.Done {
+					t.Fatalf("await %s returned before the task finished: %+v", tc.body, resp)
+				}
+			}
+		})
+	}
 }

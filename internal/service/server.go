@@ -278,8 +278,9 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		writeError(w, badRequest("create session: invalid JSON: "+err.Error()))
 		return
 	}
-	if req.DeadlineMS < 0 {
-		writeError(w, badRequest("create session: negative deadline_ms"))
+	deadline, err := wireDuration(req.DeadlineMS, time.Millisecond)
+	if err != nil {
+		writeError(w, badRequest("create session: deadline_ms "+err.Error()))
 		return
 	}
 	s.mu.Lock()
@@ -293,7 +294,6 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := newSessionID()
-	deadline := time.Duration(req.DeadlineMS) * time.Millisecond
 	ss := newSession(context.Background(), id, s.rt.Scope(id), s.cfg.SessionWindow, deadline)
 	s.sessions[id] = ss
 	s.mu.Unlock()

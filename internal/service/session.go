@@ -256,16 +256,19 @@ func submitError(err error) *httpError {
 	}
 }
 
+// maxAwait caps the server-side wait of one await request.
+const maxAwait = 2 * time.Minute
+
 // await blocks until the requested tasks complete or the timeout expires,
 // reporting each task's state. Unknown IDs are a client error.
 func (ss *session) await(ctx context.Context, req AwaitRequest) (*AwaitResponse, *httpError) {
 	ss.touch()
 	timeout := 30 * time.Second
 	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	if timeout > 2*time.Minute {
-		timeout = 2 * time.Minute
+		timeout = maxAwait
+		if d, err := wireDuration(req.TimeoutMS, time.Millisecond); err == nil && d < maxAwait {
+			timeout = d
+		}
 	}
 	ss.mu.Lock()
 	ids := req.IDs

@@ -18,6 +18,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"nexuspp/internal/starss"
@@ -33,11 +34,13 @@ type TaskSpec struct {
 	// Params is the input/output list; addresses are the dependency keys.
 	Params []Param `json:"params"`
 	// ExecUS synthesizes the task body: sleep this many microseconds
-	// (honouring cancellation). Zero or negative means an empty body.
+	// (honouring cancellation). Zero or negative means an empty body; a
+	// value whose duration overflows is rejected.
 	ExecUS int64 `json:"exec_us,omitempty"`
 	// TimeoutMS bounds each execution attempt of the task body; an attempt
 	// exceeding it fails with the runtime's task-timeout error. 0 means no
-	// per-task deadline (the session deadline, if any, still applies).
+	// per-task deadline (the session deadline, if any, still applies); a
+	// negative or overflowing value is rejected.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// MaxRetries re-arms a failed body up to this many times (with the
 	// runtime's capped exponential backoff) before the failure sticks and
@@ -87,18 +90,36 @@ func (ts TaskSpec) task() (starss.Task, error) {
 	if ts.MaxRetries < 0 || ts.MaxRetries > 16 {
 		return starss.Task{}, fmt.Errorf("task %q: max_retries %d out of range [0,16]", ts.Name, ts.MaxRetries)
 	}
+	timeout, err := wireDuration(ts.TimeoutMS, time.Millisecond)
+	if err != nil {
+		return starss.Task{}, fmt.Errorf("task %q: timeout_ms %w", ts.Name, err)
+	}
 	t := starss.Task{
 		Name:       ts.Name,
 		Deps:       deps,
 		MaxRetries: ts.MaxRetries,
-		Timeout:    time.Duration(ts.TimeoutMS) * time.Millisecond,
+		Timeout:    timeout,
 	}
-	if d := time.Duration(ts.ExecUS) * time.Microsecond; d > 0 {
+	if ts.ExecUS > 0 {
+		d, err := wireDuration(ts.ExecUS, time.Microsecond)
+		if err != nil {
+			return starss.Task{}, fmt.Errorf("task %q: exec_us %w", ts.Name, err)
+		}
 		t.Do = func(ctx context.Context) error { return sleepFor(ctx, d) }
 	} else {
 		t.Do = func(ctx context.Context) error { return ctx.Err() }
 	}
 	return t, nil
+}
+
+// wireDuration converts a wire count of unit into a Duration. Negative
+// counts and counts whose duration overflows int64 nanoseconds are errors,
+// so no wire value can wrap into a tiny, negative or disabled duration.
+func wireDuration(v int64, unit time.Duration) (time.Duration, error) {
+	if limit := int64(math.MaxInt64 / unit); v < 0 || v > limit {
+		return 0, fmt.Errorf("%d out of range [0, %d]", v, limit)
+	}
+	return time.Duration(v) * unit, nil
 }
 
 // sleepFor blocks for d, honouring cancellation — the synthesized task
@@ -137,7 +158,8 @@ type SubmitResponse struct {
 // means every task the session has submitted so far.
 type AwaitRequest struct {
 	IDs []uint64 `json:"ids,omitempty"`
-	// TimeoutMS bounds the server-side wait; 0 selects 30s, capped at 120s.
+	// TimeoutMS bounds the server-side wait; 0 or negative selects 30s, and
+	// anything above 120s (including an overflowing value) is capped there.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
@@ -167,7 +189,7 @@ type AwaitResponse struct {
 type CreateSessionRequest struct {
 	// DeadlineMS bounds the session's total lifetime; past it every
 	// unstarted task fails and the session drains exactly as on expiry.
-	// 0 means no deadline.
+	// 0 means no deadline; a negative or overflowing value is rejected.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 }
 

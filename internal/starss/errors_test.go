@@ -91,7 +91,7 @@ func TestFailureDrainsRuntime(t *testing.T) {
 	rt := New(Config{Workers: 2, Window: 8})
 	rt.MustSubmit(Task{Deps: []Dep{InOut("k")}, Do: func(context.Context) error { return errBoom }})
 	for i := 0; i < 6; i++ {
-		rt.MustSubmit(Task{Deps: []Dep{InOut("k")}, Run: func() {}})
+		rt.MustSubmit(Task{Deps: []Dep{InOut("k")}, Do: func(context.Context) error { return nil }})
 	}
 	if err := rt.Wait(context.Background()); !errors.Is(err, errBoom) {
 		t.Fatalf("Wait = %v", err)
@@ -208,7 +208,7 @@ func TestPanicBecomesError(t *testing.T) {
 			h := rt.MustSubmit(Task{
 				Name: "kaboom",
 				Deps: []Dep{Out("k")},
-				Run:  func() { panic("kaboom payload") },
+				Do:   func(context.Context) error { panic("kaboom payload") },
 			})
 			var ran atomic.Bool
 			dep := rt.MustSubmit(Task{
@@ -244,7 +244,7 @@ func TestSubmitCancelledOnFullWindow(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			res := make(chan error, 1)
 			go func() {
-				_, err := rt.Submit(ctx, Task{Run: func() {}})
+				_, err := rt.Submit(ctx, Task{Do: func(context.Context) error { return nil }})
 				res <- err
 			}()
 			select {
@@ -278,7 +278,7 @@ func TestSubmitAllCancelledOnFullWindow(t *testing.T) {
 	go func() {
 		tasks := make([]Task, 8)
 		for i := range tasks {
-			tasks[i] = Task{Run: func() {}}
+			tasks[i] = Task{Do: func(context.Context) error { return nil }}
 		}
 		_, err := rt.SubmitAll(ctx, tasks)
 		res <- err
@@ -308,10 +308,10 @@ func TestSubmitRejectsDeadContext(t *testing.T) {
 	defer mustClose(t, rt)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := rt.Submit(ctx, Task{Run: func() {}}); !errors.Is(err, context.Canceled) {
+	if _, err := rt.Submit(ctx, Task{Do: func(context.Context) error { return nil }}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Submit with dead ctx = %v", err)
 	}
-	if _, err := rt.SubmitAll(ctx, []Task{{Run: func() {}}}); !errors.Is(err, context.Canceled) {
+	if _, err := rt.SubmitAll(ctx, []Task{{Do: func(context.Context) error { return nil }}}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("SubmitAll with dead ctx = %v", err)
 	}
 	if st := rt.Stats(); st.Submitted != 0 {
@@ -405,8 +405,8 @@ func TestWaitOnCancellation(t *testing.T) {
 func TestHandleIdentity(t *testing.T) {
 	for name, rt := range newRuntimes(Config{Workers: 2}) {
 		t.Run(name, func(t *testing.T) {
-			named := rt.MustSubmit(Task{Name: "alpha", Deps: []Dep{Out("a")}, Run: func() {}})
-			anon := rt.MustSubmit(Task{Deps: []Dep{Out("b")}, Run: func() {}})
+			named := rt.MustSubmit(Task{Name: "alpha", Deps: []Dep{Out("a")}, Do: func(context.Context) error { return nil }})
+			anon := rt.MustSubmit(Task{Deps: []Dep{Out("b")}, Do: func(context.Context) error { return nil }})
 			if named.Name() != "alpha" {
 				t.Errorf("Name = %q", named.Name())
 			}
@@ -514,7 +514,7 @@ func TestSubmitAllHandles(t *testing.T) {
 func TestLegacyRunAdapter(t *testing.T) {
 	rt := New(Config{Workers: 2})
 	var ran atomic.Bool
-	h := rt.MustSubmit(Task{Deps: []Dep{Out("k")}, Run: func() { ran.Store(true) }})
+	h := rt.MustSubmit(Task{Deps: []Dep{Out("k")}, Do: func(context.Context) error { ran.Store(true); return nil }})
 	<-h.Done()
 	if !ran.Load() || h.Err() != nil {
 		t.Fatalf("legacy Run task: ran=%v err=%v", ran.Load(), h.Err())
@@ -547,7 +547,7 @@ func TestWriteBackPanicBecomesError(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			h := rt.MustSubmit(Task{
 				Deps:      []Dep{Out("k")},
-				Run:       func() {},
+				Do:        func(context.Context) error { return nil },
 				WriteBack: func() { panic("writeback exploded") },
 			})
 			var ran atomic.Bool
@@ -581,7 +581,7 @@ func TestPrefetchPanicBecomesError(t *testing.T) {
 				Prefetch: func() { panic("prefetch exploded") },
 				Do:       func(context.Context) error { ran.Store(true); return nil },
 			})
-			dep := rt.MustSubmit(Task{Deps: []Dep{In("k")}, Run: func() {}})
+			dep := rt.MustSubmit(Task{Deps: []Dep{In("k")}, Do: func(context.Context) error { return nil }})
 			if err := rt.Wait(context.Background()); !errors.Is(err, ErrTaskPanicked) {
 				t.Fatalf("Wait = %v, want ErrTaskPanicked", err)
 			}
@@ -608,7 +608,7 @@ func TestReaderJoiningPoisonedSegmentSkipped(t *testing.T) {
 				Deps: []Dep{Out("k")},
 				Do:   func(context.Context) error { return errBoom },
 			})
-			r1 := rt.MustSubmit(Task{Deps: []Dep{In("k")}, Run: func() {}})
+			r1 := rt.MustSubmit(Task{Deps: []Dep{In("k")}, Do: func(context.Context) error { return nil }})
 			// An independent task that occupies the single worker: once it
 			// has started, the writer has finished (FIFO ready queue), so
 			// the segment is poisoned with r1 in its reader group.
@@ -655,7 +655,7 @@ func TestMaestroCloseSubmitRace(t *testing.T) {
 			for j := 0; j < 500; j++ {
 				if _, err := m.Submit(context.Background(), Task{
 					Deps: []Dep{InOut(j % 4)},
-					Run:  func() {},
+					Do:   func(context.Context) error { return nil },
 				}); err != nil {
 					if !errors.Is(err, ErrStopped) {
 						t.Errorf("Submit = %v", err)

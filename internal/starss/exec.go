@@ -113,7 +113,7 @@ func (e *executor) runAttempt(node *taskNode, attempt, worker int) (err error) {
 			return timeoutCause(ctx, deadline, context.Cause(ctx))
 		}
 	}
-	if err := node.do(ctx); err != nil {
+	if err := node.task.Do(ctx); err != nil {
 		return timeoutCause(ctx, deadline, err)
 	}
 	if node.task.WriteBack != nil {

@@ -15,11 +15,11 @@ func TestWaitOnKeys(t *testing.T) {
 	block := make(chan struct{})
 	rt.MustSubmit(Task{
 		Deps: []Dep{Out("a")},
-		Run:  func() { aDone.Store(true) },
+		Do:   func(context.Context) error { aDone.Store(true); return nil },
 	})
 	rt.MustSubmit(Task{
 		Deps: []Dep{Out("b")},
-		Run:  func() { <-block; bDone.Store(true) },
+		Do:   func(context.Context) error { <-block; bDone.Store(true); return nil },
 	})
 	// Waiting on "a" must not wait for the blocked "b" task.
 	rt.WaitOn(context.Background(), "a")
@@ -58,10 +58,10 @@ func TestWaitOnAfterClose(t *testing.T) {
 
 func TestGraphRecording(t *testing.T) {
 	rt := New(Config{Workers: 2, RecordGraph: true})
-	rt.MustSubmit(Task{Name: "w", Deps: []Dep{Out("k")}, Run: func() {}})
-	rt.MustSubmit(Task{Name: "r1", Deps: []Dep{In("k")}, Run: func() {}})
-	rt.MustSubmit(Task{Name: "r2", Deps: []Dep{In("k")}, Run: func() {}})
-	rt.MustSubmit(Task{Name: "w2", Deps: []Dep{Out("k")}, Run: func() {}})
+	rt.MustSubmit(Task{Name: "w", Deps: []Dep{Out("k")}, Do: func(context.Context) error { return nil }})
+	rt.MustSubmit(Task{Name: "r1", Deps: []Dep{In("k")}, Do: func(context.Context) error { return nil }})
+	rt.MustSubmit(Task{Name: "r2", Deps: []Dep{In("k")}, Do: func(context.Context) error { return nil }})
+	rt.MustSubmit(Task{Name: "w2", Deps: []Dep{Out("k")}, Do: func(context.Context) error { return nil }})
 	rt.Wait(context.Background())
 	names, edges := rt.Graph()
 	if len(names) != 4 || names[0] != "w" || names[3] != "w2" {
@@ -94,7 +94,7 @@ func TestGraphRecording(t *testing.T) {
 
 func TestGraphDisabledIsEmpty(t *testing.T) {
 	rt := New(Config{Workers: 1})
-	rt.MustSubmit(Task{Deps: []Dep{Out("k")}, Run: func() {}})
+	rt.MustSubmit(Task{Deps: []Dep{Out("k")}, Do: func(context.Context) error { return nil }})
 	rt.Wait(context.Background())
 	names, edges := rt.Graph()
 	if len(names) != 0 || len(edges) != 0 {
@@ -105,8 +105,8 @@ func TestGraphDisabledIsEmpty(t *testing.T) {
 
 func TestExportDOT(t *testing.T) {
 	rt := New(Config{Workers: 1, RecordGraph: true})
-	rt.MustSubmit(Task{Name: "producer", Deps: []Dep{Out("k")}, Run: func() {}})
-	rt.MustSubmit(Task{Deps: []Dep{In("k")}, Run: func() {}})
+	rt.MustSubmit(Task{Name: "producer", Deps: []Dep{Out("k")}, Do: func(context.Context) error { return nil }})
+	rt.MustSubmit(Task{Deps: []Dep{In("k")}, Do: func(context.Context) error { return nil }})
 	rt.Wait(context.Background())
 	var buf bytes.Buffer
 	if err := rt.ExportDOT(&buf); err != nil {
@@ -125,7 +125,7 @@ func TestGraphMatchesHazardSemantics(t *testing.T) {
 	// Inout chains record one edge per link.
 	rt := New(Config{Workers: 4, RecordGraph: true})
 	for i := 0; i < 10; i++ {
-		rt.MustSubmit(Task{Deps: []Dep{InOut("c")}, Run: func() {}})
+		rt.MustSubmit(Task{Deps: []Dep{InOut("c")}, Do: func(context.Context) error { return nil }})
 	}
 	rt.Wait(context.Background())
 	_, edges := rt.Graph()

@@ -16,7 +16,7 @@ import (
 // the sharded runtime — typed handles, error propagation, poisoning,
 // context-aware lifecycle — so benchmarks drive both through the identical
 // TaskRuntime interface and compare like-for-like. New code should use New;
-// use NewMaestro only to measure against it (cmd/nexusbench shards,
+// use NewMaestro only to measure against it (nexusbench exp shards,
 // BenchmarkShardScalability).
 
 // TaskRuntime is the execution interface shared by the sharded Runtime and

@@ -40,10 +40,11 @@ func TestSingleShardPreservesSemantics(t *testing.T) {
 		i := i
 		rt.MustSubmit(Task{
 			Deps: []Dep{InOut("chain")},
-			Run: func() {
+			Do: func(context.Context) error {
 				mu.Lock()
 				order = append(order, i)
 				mu.Unlock()
+				return nil
 			},
 		})
 	}
@@ -78,10 +79,11 @@ func TestMultiKeyTasksAcrossBanks(t *testing.T) {
 			norm, _ := normalizeDeps(deps)
 			rt.MustSubmit(Task{
 				Deps: deps,
-				Run: func() {
+				Do: func(context.Context) error {
 					h.enter(norm)
 					defer h.exit(norm)
 					spin(100)
+					return nil
 				},
 			})
 		}
@@ -110,7 +112,7 @@ func TestConcurrentSubmitters(t *testing.T) {
 			for i := 0; i < perG; i++ {
 				rt.MustSubmit(Task{
 					Deps: []Dep{InOut([2]int{g, i}), In([2]int{g, (i + 1) % perG})},
-					Run:  func() { executed.Add(1) },
+					Do:   func(context.Context) error { executed.Add(1); return nil },
 				})
 			}
 		}()
@@ -136,10 +138,11 @@ func TestSubmitAllOrdering(t *testing.T) {
 		i := i
 		tasks[i] = Task{
 			Deps: []Dep{InOut("chain"), In(i % 7)},
-			Run: func() {
+			Do: func(context.Context) error {
 				mu.Lock()
 				order = append(order, i)
 				mu.Unlock()
+				return nil
 			},
 		}
 	}
@@ -164,7 +167,7 @@ func TestSubmitAllLargerThanWindow(t *testing.T) {
 	tasks := make([]Task, 100)
 	for i := range tasks {
 		i := i
-		tasks[i] = Task{Deps: []Dep{Out(i)}, Run: func() { n.Add(1) }}
+		tasks[i] = Task{Deps: []Dep{Out(i)}, Do: func(context.Context) error { n.Add(1); return nil }}
 	}
 	if _, err := rt.SubmitAll(context.Background(), tasks); err != nil {
 		t.Fatal(err)
@@ -181,7 +184,7 @@ func TestSubmitAllLargerThanWindow(t *testing.T) {
 func TestSubmitAllValidation(t *testing.T) {
 	rt := New(Config{Workers: 1})
 	_, err := rt.SubmitAll(context.Background(), []Task{
-		{Run: func() {}},
+		{Do: func(context.Context) error { return nil }},
 		{}, // no Run
 	})
 	if err == nil {
@@ -196,7 +199,7 @@ func TestSubmitAllValidation(t *testing.T) {
 		t.Fatalf("empty batch: %v", err)
 	}
 	mustClose(t, rt)
-	if _, err := rt.SubmitAll(context.Background(), []Task{{Run: func() {}}}); err != ErrStopped {
+	if _, err := rt.SubmitAll(context.Background(), []Task{{Do: func(context.Context) error { return nil }}}); err != ErrStopped {
 		t.Fatalf("SubmitAll after Close = %v, want ErrStopped", err)
 	}
 }
@@ -209,7 +212,7 @@ func TestSubmitAllRAWAcrossBatches(t *testing.T) {
 	writers := make([]Task, len(data))
 	for i := range writers {
 		i := i
-		writers[i] = Task{Deps: []Dep{Out(i)}, Run: func() { data[i] = i + 1 }}
+		writers[i] = Task{Deps: []Dep{Out(i)}, Do: func(context.Context) error { data[i] = i + 1; return nil }}
 	}
 	if _, err := rt.SubmitAll(context.Background(), writers); err != nil {
 		t.Fatal(err)
@@ -219,10 +222,11 @@ func TestSubmitAllRAWAcrossBatches(t *testing.T) {
 	for i := range deps {
 		deps[i] = In(i)
 	}
-	rt.MustSubmit(Task{Deps: deps, Run: func() {
+	rt.MustSubmit(Task{Deps: deps, Do: func(context.Context) error {
 		for _, v := range data {
 			sum += v
 		}
+		return nil
 	}})
 	mustClose(t, rt)
 	want := 0
@@ -259,10 +263,11 @@ func TestMaestroBaselineSemantics(t *testing.T) {
 		i := i
 		rt.MustSubmit(Task{
 			Deps: []Dep{InOut("chain"), In(i % 3)},
-			Run: func() {
+			Do: func(context.Context) error {
 				mu.Lock()
 				order = append(order, i)
 				mu.Unlock()
+				return nil
 			},
 		})
 	}
@@ -277,7 +282,7 @@ func TestMaestroBaselineSemantics(t *testing.T) {
 	if st.Submitted != 40 || st.Executed != 40 {
 		t.Fatalf("maestro stats = %+v", st)
 	}
-	if _, err := rt.Submit(context.Background(), Task{Run: func() {}}); err != ErrStopped {
+	if _, err := rt.Submit(context.Background(), Task{Do: func(context.Context) error { return nil }}); err != ErrStopped {
 		t.Fatalf("maestro Submit after Close = %v, want ErrStopped", err)
 	}
 }
@@ -299,7 +304,7 @@ func TestConcurrentSubmitAll(t *testing.T) {
 			for i := range tasks {
 				tasks[i] = Task{
 					Deps: []Dep{InOut([2]int{b, i % 8})},
-					Run:  func() { executed.Add(1) },
+					Do:   func(context.Context) error { executed.Add(1); return nil },
 				}
 			}
 			if _, err := rt.SubmitAll(context.Background(), tasks); err != nil {

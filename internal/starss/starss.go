@@ -105,12 +105,8 @@ type Task struct {
 	Deps []Dep
 	// Do executes the task. The context is the one the task was submitted
 	// with; bodies should honour its cancellation. A non-nil error marks
-	// the task failed and poisons its transitive dependents. Exactly one
-	// of Do and Run must be set.
+	// the task failed and poisons its transitive dependents. Required.
 	Do func(ctx context.Context) error
-	// Run is the legacy task body: no context, cannot fail. It is adapted
-	// to Do during migration; new code should use Do.
-	Run func()
 	// Prefetch, when set, runs on the worker's controller before the task
 	// body may start, overlapping the previous task's execution (double
 	// buffering). It must only touch the task's declared In/InOut data.
@@ -142,21 +138,6 @@ type Task struct {
 	// unexported: only this package wires it (Scope uses it for per-session
 	// accounting), so user code cannot observe half-published state.
 	onDone func(err error)
-}
-
-// body resolves the task's executable: Do, or the legacy Run adapted.
-func (t *Task) body() (func(context.Context) error, error) {
-	switch {
-	case t.Do != nil && t.Run != nil:
-		return nil, errors.New("starss: task sets both Do and Run")
-	case t.Do != nil:
-		return t.Do, nil
-	case t.Run != nil:
-		run := t.Run
-		return func(context.Context) error { run(); return nil }, nil
-	default:
-		return nil, errors.New("starss: task has no Do or Run function")
-	}
 }
 
 // Config parameterises a Runtime.
@@ -369,7 +350,6 @@ type taskFailure struct {
 
 type taskNode struct {
 	task   Task
-	do     func(context.Context) error
 	ctx    context.Context
 	handle *Handle
 	deps   []Dep // normalised
@@ -747,15 +727,14 @@ func (rt *Runtime) submitChunk(ctx context.Context, nodes []*taskNode) error {
 
 // makeNode validates and normalises one task.
 func makeNode(ctx context.Context, t Task) (*taskNode, error) {
-	do, err := t.body()
-	if err != nil {
-		return nil, err
+	if t.Do == nil {
+		return nil, errors.New("starss: task has no Do function")
 	}
 	deps, err := normalizeDeps(t.Deps)
 	if err != nil {
 		return nil, err
 	}
-	return &taskNode{task: t, do: do, ctx: ctx, deps: deps}, nil
+	return &taskNode{task: t, ctx: ctx, deps: deps}, nil
 }
 
 // admit assigns the task its ID (submission index), creates the handle and

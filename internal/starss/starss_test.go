@@ -2,6 +2,8 @@ package starss
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -50,7 +52,7 @@ func TestBasicExecution(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		rt.MustSubmit(Task{
 			Deps: []Dep{InOut(i)},
-			Run:  func() { count.Add(1) },
+			Do:   func(context.Context) error { count.Add(1); return nil },
 		})
 	}
 	mustClose(t, rt)
@@ -71,10 +73,11 @@ func TestChainOrdering(t *testing.T) {
 		i := i
 		rt.MustSubmit(Task{
 			Deps: []Dep{InOut("chain")},
-			Run: func() {
+			Do: func(context.Context) error {
 				mu.Lock()
 				order = append(order, i)
 				mu.Unlock()
+				return nil
 			},
 		})
 	}
@@ -96,7 +99,7 @@ func TestRAWVisibility(t *testing.T) {
 		i := i
 		rt.MustSubmit(Task{
 			Deps: []Dep{Out(i)},
-			Run:  func() { data[i] = i * i },
+			Do:   func(context.Context) error { data[i] = i * i; return nil },
 		})
 	}
 	sum := 0
@@ -106,10 +109,11 @@ func TestRAWVisibility(t *testing.T) {
 	}
 	rt.MustSubmit(Task{
 		Deps: deps,
-		Run: func() {
+		Do: func(context.Context) error {
 			for _, v := range data {
 				sum += v
 			}
+			return nil
 		},
 	})
 	mustClose(t, rt)
@@ -123,27 +127,46 @@ func TestRAWVisibility(t *testing.T) {
 }
 
 func TestSubmitErrors(t *testing.T) {
-	rt := New(Config{Workers: 1})
-	if _, err := rt.Submit(context.Background(), Task{}); err == nil {
-		t.Error("task without a body accepted")
-	}
-	if _, err := rt.Submit(context.Background(), Task{Run: func() {}, Do: func(context.Context) error { return nil }}); err == nil {
-		t.Error("task with both Do and Run accepted")
-	}
-	if err := rt.Close(); err != nil {
-		t.Errorf("Close = %v", err)
-	}
-	if _, err := rt.Submit(context.Background(), Task{Run: func() {}}); err != ErrStopped {
-		t.Errorf("Submit after Close = %v, want ErrStopped", err)
-	}
-	if err := rt.Close(); err != nil { // idempotent
-		t.Errorf("second Close = %v", err)
-	}
-	if err := rt.Wait(context.Background()); err != ErrStopped {
-		t.Errorf("Wait after Close = %v, want ErrStopped", err)
-	}
-	if st := rt.Stats(); st.Submitted != 0 {
-		t.Errorf("final stats = %+v", st)
+	for name, rt := range newRuntimes(Config{Workers: 1}) {
+		t.Run(name, func(t *testing.T) {
+			if _, err := rt.Submit(context.Background(), Task{}); err == nil {
+				t.Error("task without a body accepted")
+			}
+			// A batch whose task i has no body is rejected whole, naming i.
+			if b, ok := rt.(interface {
+				SubmitAll(context.Context, []Task) ([]*Handle, error)
+			}); ok {
+				const bad = 2
+				tasks := make([]Task, 4)
+				for i := range tasks {
+					if i != bad {
+						tasks[i] = Task{Deps: []Dep{Out(i)}, Do: func(context.Context) error { return nil }}
+					}
+				}
+				if _, err := b.SubmitAll(context.Background(), tasks); err == nil ||
+					!strings.Contains(err.Error(), fmt.Sprintf("task %d:", bad)) {
+					t.Errorf("SubmitAll with task %d bodiless = %v, want an error naming it", bad, err)
+				}
+				if st := rt.Stats(); st.Submitted != 0 {
+					t.Errorf("rejected batch admitted tasks: %+v", st)
+				}
+			}
+			if err := rt.Close(); err != nil {
+				t.Errorf("Close = %v", err)
+			}
+			if _, err := rt.Submit(context.Background(), Task{Do: func(context.Context) error { return nil }}); err != ErrStopped {
+				t.Errorf("Submit after Close = %v, want ErrStopped", err)
+			}
+			if err := rt.Close(); err != nil { // idempotent
+				t.Errorf("second Close = %v", err)
+			}
+			if err := rt.Wait(context.Background()); err != ErrStopped {
+				t.Errorf("Wait after Close = %v, want ErrStopped", err)
+			}
+			if st := rt.Stats(); st.Submitted != 0 {
+				t.Errorf("final stats = %+v", st)
+			}
+		})
 	}
 }
 
@@ -154,7 +177,7 @@ func TestBarrierWaitsForAll(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		rt.MustSubmit(Task{
 			Deps: []Dep{InOut(i % 7)},
-			Run:  func() { done.Add(1) },
+			Do:   func(context.Context) error { done.Add(1); return nil },
 		})
 	}
 	rt.Wait(context.Background())
@@ -162,7 +185,7 @@ func TestBarrierWaitsForAll(t *testing.T) {
 		t.Fatalf("barrier returned with %d of 64 done", done.Load())
 	}
 	// The runtime stays usable after a barrier.
-	rt.MustSubmit(Task{Deps: []Dep{In("x")}, Run: func() { done.Add(1) }})
+	rt.MustSubmit(Task{Deps: []Dep{In("x")}, Do: func(context.Context) error { done.Add(1); return nil }})
 	rt.Wait(context.Background())
 	if done.Load() != 65 {
 		t.Fatal("submission after barrier did not run")
@@ -233,10 +256,11 @@ func TestHazardExclusion(t *testing.T) {
 		norm, _ := normalizeDeps(deps)
 		rt.MustSubmit(Task{
 			Deps: deps,
-			Run: func() {
+			Do: func(context.Context) error {
 				h.enter(norm)
 				defer h.exit(norm)
 				spin(200)
+				return nil
 			},
 		})
 	}
@@ -263,7 +287,7 @@ func TestPrefetchOverlap(t *testing.T) {
 	var overlapped atomic.Bool
 	rt.MustSubmit(Task{
 		Deps: []Dep{InOut(0)},
-		Run: func() {
+		Do: func(context.Context) error {
 			running.Add(1)
 			close(firstRunning)
 			// If the prefetch never overlaps (a buffering regression), time
@@ -273,6 +297,7 @@ func TestPrefetchOverlap(t *testing.T) {
 			case <-time.After(10 * time.Second):
 			}
 			running.Add(-1)
+			return nil
 		},
 	})
 	rt.MustSubmit(Task{
@@ -284,7 +309,7 @@ func TestPrefetchOverlap(t *testing.T) {
 			}
 			close(release)
 		},
-		Run: func() {},
+		Do: func(context.Context) error { return nil },
 	})
 	mustClose(t, rt)
 	if !overlapped.Load() {
@@ -306,10 +331,11 @@ func TestDepthOneNoPipelineOverlap(t *testing.T) {
 					overlapped.Store(true)
 				}
 			},
-			Run: func() {
+			Do: func(context.Context) error {
 				running.Add(1)
 				spin(500)
 				running.Add(-1)
+				return nil
 			},
 		})
 	}
@@ -326,12 +352,12 @@ func TestWriteBackRuns(t *testing.T) {
 	consumed := -1
 	rt.MustSubmit(Task{
 		Deps:      []Dep{Out("v")},
-		Run:       func() { produced = 41 },
+		Do:        func(context.Context) error { produced = 41; return nil },
 		WriteBack: func() { produced++; wrote.Add(1) },
 	})
 	rt.MustSubmit(Task{
 		Deps: []Dep{In("v")},
-		Run:  func() { consumed = produced },
+		Do:   func(context.Context) error { consumed = produced; return nil },
 	})
 	mustClose(t, rt)
 	if wrote.Load() != 1 {
@@ -345,11 +371,11 @@ func TestWriteBackRuns(t *testing.T) {
 func TestWindowBackPressure(t *testing.T) {
 	rt := New(Config{Workers: 1, Window: 4})
 	block := make(chan struct{})
-	rt.MustSubmit(Task{Deps: []Dep{InOut("k")}, Run: func() { <-block }})
+	rt.MustSubmit(Task{Deps: []Dep{InOut("k")}, Do: func(context.Context) error { <-block; return nil }})
 	done := make(chan struct{})
 	go func() {
 		for i := 0; i < 10; i++ {
-			rt.MustSubmit(Task{Deps: []Dep{InOut("k")}, Run: func() {}})
+			rt.MustSubmit(Task{Deps: []Dep{InOut("k")}, Do: func(context.Context) error { return nil }})
 		}
 		close(done)
 	}()
@@ -396,10 +422,11 @@ func TestRandomGraphsProperty(t *testing.T) {
 			norm, _ := normalizeDeps(deps)
 			if _, err := rt.Submit(context.Background(), Task{
 				Deps: deps,
-				Run: func() {
+				Do: func(context.Context) error {
 					h.enter(norm)
 					defer h.exit(norm)
 					spin(50)
+					return nil
 				},
 			}); err != nil {
 				return false

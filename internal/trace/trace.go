@@ -1,5 +1,5 @@
-// Package trace defines the task model consumed by every simulator in this
-// repository and (de)serialises task traces.
+// Package trace defines the task model consumed by every simulator and
+// executing engine in this repository.
 //
 // The Nexus++ paper drives its SystemC model from a trace of a parallel
 // H.264 decoder captured on a Cell processor: per task, the trace records

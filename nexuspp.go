@@ -6,7 +6,6 @@ import (
 	"nexuspp/internal/backend"
 	"nexuspp/internal/core"
 	"nexuspp/internal/depgraph"
-	"nexuspp/internal/faults"
 	"nexuspp/internal/obs"
 	"nexuspp/internal/service"
 	"nexuspp/internal/starss"
@@ -50,17 +49,9 @@ func LookupBackend(name string) (Backend, error) { return backend.Lookup(name) }
 // duplicate or empty name.
 func RegisterBackend(b Backend) { backend.Register(b) }
 
-// Workloads returns the registered named workloads sorted by name.
-func Workloads() []WorkloadInfo { return backend.Workloads() }
-
 // LookupWorkload resolves a named workload; an unknown name fails with an
 // error listing every valid name in sorted order.
 func LookupWorkload(name string) (WorkloadInfo, error) { return backend.LookupWorkload(name) }
-
-// RegisterWorkload adds a named workload to the registry, making it
-// available to the unified CLI and the golden conformance corpus; it panics
-// on a duplicate or empty name or a nil constructor.
-func RegisterWorkload(w WorkloadInfo) { backend.RegisterWorkload(w) }
 
 // --- Hardware simulation -----------------------------------------------
 
@@ -69,9 +60,6 @@ type Config = core.Config
 
 // Result reports one simulation run.
 type Result = core.Result
-
-// Costs gives the per-block service costs in Nexus++ cycles.
-type Costs = core.Costs
 
 // DefaultConfig returns the paper's configuration for the given number of
 // worker cores, with double buffering enabled.
@@ -124,29 +112,6 @@ func GaussianElimination(n int) Source {
 	return workload.Gaussian(workload.GaussianConfig{N: n})
 }
 
-// StarPUDepsConfig parameterises the TaskTorrent/StarPU wait-chain grid.
-type StarPUDepsConfig = workload.StarPUDepsConfig
-
-// StarPUDeps returns the TaskTorrent/StarPU `deps` wait-chain grid: an
-// n_rows x n_cols grid where each task waits on n_edges wrap-around
-// predecessors in the previous column.
-func StarPUDeps(cfg StarPUDepsConfig) Source { return workload.StarPUDeps(cfg) }
-
-// RandomDAGConfig parameterises the seeded random DAG generator.
-type RandomDAGConfig = workload.RandomDAGConfig
-
-// RandomDAG returns a seeded random task DAG with bounded fan-in over a
-// sliding predecessor window; the same seed always yields the same graph.
-func RandomDAG(cfg RandomDAGConfig) Source { return workload.RandomDAG(cfg) }
-
-// SpatialSkewConfig parameterises the skewed-cost spatial decomposition.
-type SpatialSkewConfig = workload.SpatialSkewConfig
-
-// SpatialSkew returns the skewed-cost spatial-decomposition workload:
-// sweeps over a tile grid with von-Neumann neighbour dependencies and
-// bounded-Pareto task costs.
-func SpatialSkew(cfg SpatialSkewConfig) Source { return workload.SpatialSkew(cfg) }
-
 // Oracle builds the reference dependency graph of a workload; its analyses
 // bound every achievable speedup and validate simulated schedules.
 func Oracle(src Source) *depgraph.Graph { return depgraph.Build(src) }
@@ -189,7 +154,7 @@ type RuntimeConfig = starss.Config
 type RuntimeStats = starss.Stats
 
 // Task is a unit of executable work with declared dependencies. The body
-// is Do (context-aware, may fail); the legacy Run field is still accepted.
+// is Do (context-aware, may fail).
 type Task = starss.Task
 
 // Dep declares one data access of a Task.
@@ -229,10 +194,6 @@ func NewRuntime(cfg RuntimeConfig) *Runtime { return starss.New(cfg) }
 // multi-tenant task service.
 type Scope = starss.Scope
 
-// ScopedKey is the namespaced form of a dependency key as seen by the
-// shared dependency table; useful for diagnostics.
-type ScopedKey = starss.ScopedKey
-
 // --- Observability --------------------------------------------------------
 
 // EventRecorder collects the runtime's lifecycle event stream
@@ -246,23 +207,6 @@ type EventRecorder = obs.Recorder
 // bank, worker, and a monotonic timestamp.
 type Event = obs.Event
 
-// EventKind is a lifecycle transition type.
-type EventKind = obs.Kind
-
-// The recorded lifecycle transitions, in task order: admission, dependence
-// count reaching zero, body start, body completion, and skip-by-poisoning.
-const (
-	EventSubmit = obs.KindSubmit
-	EventReady  = obs.KindReady
-	EventRun    = obs.KindRun
-	EventFinish = obs.KindFinish
-	EventPoison = obs.KindPoison
-	// EventRetry records a failed attempt re-armed under the task's retry
-	// policy; EventFault records an injected fault firing in the body.
-	EventRetry = obs.KindRetry
-	EventFault = obs.KindFault
-)
-
 // WriteChromeTrace converts a drained event log to Chrome trace-viewer
 // JSON, loadable in chrome://tracing and ui.perfetto.dev.
 func WriteChromeTrace(w io.Writer, events []Event) error {
@@ -271,16 +215,9 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 
 // --- Task service ---------------------------------------------------------
 
-// ServiceServer is the long-running multi-tenant task service: one shared
-// sharded Runtime, many isolated client sessions with per-session admission
-// windows (429 backpressure), idle expiry, and graceful drain. cmd/nexusd
-// is the daemon wrapping it.
-type ServiceServer = service.Server
-
-// ServiceConfig parameterises a ServiceServer.
-type ServiceConfig = service.Config
-
-// ServiceClient is the Go client for the nexusd HTTP API.
+// ServiceClient is the Go client for the nexusd HTTP API: the
+// long-running multi-tenant task service, one shared sharded Runtime
+// serving many isolated client sessions.
 type ServiceClient = service.Client
 
 // ServiceSession is a client-side handle on one server session.
@@ -290,13 +227,6 @@ type ServiceSession = service.Session
 // (addr, size, mode) plus a synthesized execution time.
 type ServiceTaskSpec = service.TaskSpec
 
-// ServiceParam is one entry of a wire task's parameter list.
-type ServiceParam = service.Param
-
-// NewService starts an in-process task service; expose it with Handler and
-// shut it down with Close.
-func NewService(cfg ServiceConfig) *ServiceServer { return service.New(cfg) }
-
 // NewServiceClient returns a client for a daemon at base
 // (e.g. "http://127.0.0.1:8037").
 func NewServiceClient(base string) *ServiceClient { return service.NewClient(base) }
@@ -304,40 +234,3 @@ func NewServiceClient(base string) *ServiceClient { return service.NewClient(bas
 // ServiceTaskFromSpec converts a traced task into its wire form, so traced
 // workloads can be submitted to a live daemon.
 func ServiceTaskFromSpec(spec TaskSpec) ServiceTaskSpec { return service.FromTraceSpec(spec) }
-
-// --- Fault injection ------------------------------------------------------
-
-// FaultInjector decides, deterministically per seed, whether an injected
-// fault fires at a given site for a given key. A nil injector is the
-// disabled state: every layer that consults one pays a single nil check,
-// and schedules are reproducible per seed. Wire one into RuntimeConfig or
-// ServiceConfig, or onto the client side with FaultTransport.
-type FaultInjector = faults.Injector
-
-// FaultPlan is a seed plus the armed rules — one reproducible schedule.
-type FaultPlan = faults.Plan
-
-// FaultRule arms one injection site with a probability or a fire-every-N
-// discipline, plus an optional injected delay.
-type FaultRule = faults.Rule
-
-// FaultSite is one injection point (task error/panic/hang, kick-off delay,
-// and the wire's drop/duplicate/delay sites).
-type FaultSite = faults.Site
-
-// FaultTransport is an http.RoundTripper injecting client-side wire faults
-// (dropped, duplicated, delayed requests and responses).
-type FaultTransport = faults.Transport
-
-// ErrFaultInjected is the root of every injected fault, for errors.Is.
-var ErrFaultInjected = faults.ErrInjected
-
-// NewFaultInjector compiles a plan; nil or empty plans yield the disabled
-// (nil) injector.
-func NewFaultInjector(plan *FaultPlan) *FaultInjector { return faults.New(plan) }
-
-// ParseFaultSpec compiles the textual rule syntax used by the nexusd and
-// nexusbench flags, e.g. "task_panic:0.05,resp_drop:every=4".
-func ParseFaultSpec(seed uint64, spec string) (*FaultInjector, error) {
-	return faults.ParseSpec(seed, spec)
-}
