@@ -7,9 +7,11 @@
 // The model charges a per-task software cost for adding a task to the graph
 // and another for retiring it, both executed serially on the master core.
 // Workers have no Task Controllers: each task's input fetch, execution and
-// write-back are serial. Dependency semantics are identical to the hardware
-// model (readers share, writers wait, WAR/WAW enforced without renaming),
-// so the same workloads run unchanged.
+// write-back are serial. Dependencies resolve through the unbounded software
+// Dependence Table of internal/segtab — the same one the executing starss
+// runtime uses, with the hardware model's semantics (readers share, writers
+// wait, WAR/WAW enforced without renaming) — so the same workloads run
+// unchanged.
 package softrts
 
 import (
@@ -17,6 +19,7 @@ import (
 
 	"nexuspp/internal/depgraph"
 	"nexuspp/internal/mem"
+	"nexuspp/internal/segtab"
 	"nexuspp/internal/sim"
 	"nexuspp/internal/trace"
 	"nexuspp/internal/workload"
@@ -63,20 +66,6 @@ type Result struct {
 	Schedule          []depgraph.Interval
 }
 
-// runtime state per memory segment, same semantics as the hardware
-// Dependence Table but without capacity limits (software tables grow).
-type segState struct {
-	isOut bool
-	rdrs  int
-	ww    bool
-	ko    []waiter
-}
-
-type waiter struct {
-	task       int32
-	wantsWrite bool
-}
-
 type taskState struct {
 	spec trace.TaskSpec
 	dc   int
@@ -88,7 +77,7 @@ type simulator struct {
 	memory *mem.Memory
 	src    workload.Source
 
-	segs  map[uint64]*segState
+	segs  segtab.Table[uint64, int32] // keyed by base address
 	tasks map[int32]*taskState
 
 	masterBusy    bool
@@ -124,7 +113,6 @@ func Run(cfg Config, src workload.Source) (*Result, error) {
 		eng:           eng,
 		memory:        mem.NewMemory(eng, cfg.Mem),
 		src:           src,
-		segs:          make(map[uint64]*segState),
 		tasks:         make(map[int32]*taskState),
 		finishQ:       sim.NewFIFO[int32]("sw-finish", 1<<20),
 		readyQ:        sim.NewFIFO[int32]("sw-ready", 1<<20),
@@ -148,8 +136,8 @@ func Run(cfg Config, src workload.Source) (*Result, error) {
 	if s.finished != uint64(s.total) {
 		return nil, fmt.Errorf("softrts: deadlock: %d of %d tasks finished", s.finished, s.total)
 	}
-	if len(s.segs) != 0 {
-		return nil, fmt.Errorf("softrts: %d segment states leaked", len(s.segs))
+	if n := s.segs.Len(); n != 0 {
+		return nil, fmt.Errorf("softrts: %d segment states leaked", n)
 	}
 	res := &Result{
 		Workload:      src.Name(),
@@ -200,37 +188,15 @@ func (s *simulator) kickMaster() {
 	})
 }
 
-// addTask inserts a task into the graph (Listing 2 semantics).
+// addTask inserts a task into the graph (Check Deps, Listing 2).
 func (s *simulator) addTask(spec trace.TaskSpec) {
 	id := s.nextID
 	s.nextID++
 	st := &taskState{spec: spec}
 	s.tasks[id] = st
 	for _, p := range spec.Params {
-		seg := s.segs[p.Addr]
-		if seg == nil {
-			seg = &segState{}
-			s.segs[p.Addr] = seg
-			if p.Mode.Writes() {
-				seg.isOut = true
-			} else {
-				seg.rdrs = 1
-			}
-			continue
-		}
-		if !p.Mode.Writes() {
-			if !seg.isOut && !seg.ww {
-				seg.rdrs++
-			} else {
-				seg.ko = append(seg.ko, waiter{task: id})
-				st.dc++
-			}
-			continue
-		}
-		seg.ko = append(seg.ko, waiter{task: id, wantsWrite: true})
-		st.dc++
-		if !seg.isOut {
-			seg.ww = true
+		if queued, _ := s.segs.Join(p.Addr, p.Mode.Writes(), id); queued > 0 {
+			st.dc++
 		}
 	}
 	if st.dc == 0 {
@@ -238,58 +204,19 @@ func (s *simulator) addTask(spec trace.TaskSpec) {
 	}
 }
 
-// retire removes a finished task from the graph and wakes dependents.
+// retire removes a finished task from the graph and wakes dependents
+// (Handle Finished). Tasks never fail here, so no root is passed.
 func (s *simulator) retire(task int32) {
 	st := s.tasks[task]
+	var grants []segtab.Grant[int32]
 	for _, p := range st.spec.Params {
-		seg := s.segs[p.Addr]
-		if seg == nil {
-			panic(fmt.Sprintf("softrts: finished task %d references unknown segment %#x", task, p.Addr))
-		}
-		var grants []int32
-		if !p.Mode.Writes() {
-			seg.rdrs--
-			if seg.rdrs > 0 {
-				continue
-			}
-			if !seg.ww {
-				delete(s.segs, p.Addr)
-				continue
-			}
-			w := seg.ko[0]
-			seg.ko = seg.ko[1:]
-			seg.isOut = true
-			seg.ww = false
-			grants = append(grants, w.task)
-		} else {
-			seg.isOut = false
-			if len(seg.ko) == 0 {
-				delete(s.segs, p.Addr)
-				continue
-			}
-			if seg.ko[0].wantsWrite {
-				w := seg.ko[0]
-				seg.ko = seg.ko[1:]
-				seg.isOut = true
-				grants = append(grants, w.task)
-			} else {
-				for len(seg.ko) > 0 && !seg.ko[0].wantsWrite {
-					w := seg.ko[0]
-					seg.ko = seg.ko[1:]
-					seg.rdrs++
-					grants = append(grants, w.task)
-				}
-				if len(seg.ko) > 0 {
-					seg.ww = true
-				}
-			}
-		}
-		for _, g := range grants {
-			gst := s.tasks[g]
-			gst.dc--
-			if gst.dc == 0 {
-				s.readyQ.MustPush(g)
-			}
+		grants = s.segs.Leave(p.Addr, p.Mode.Writes(), nil, grants)
+	}
+	for _, g := range grants {
+		gst := s.tasks[g.Waiter]
+		gst.dc--
+		if gst.dc == 0 {
+			s.readyQ.MustPush(g.Waiter)
 		}
 	}
 	delete(s.tasks, task)

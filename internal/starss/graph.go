@@ -15,8 +15,8 @@ import (
 // alternative to the full Wait. Like Wait, it observes every Submit that
 // returned before the call, returns ctx.Err() if the context is cancelled
 // first, and returns ErrStopped when the runtime is already closed instead
-// of silently succeeding. An empty key set is a no-op. A nil ctx means
-// context.Background().
+// of silently succeeding. An empty key set is a no-op; a key that is not
+// comparable is an error. A nil ctx means context.Background().
 func (rt *Runtime) WaitOn(ctx context.Context, keys ...Key) error {
 	if len(keys) == 0 {
 		return nil
@@ -28,6 +28,11 @@ func (rt *Runtime) WaitOn(ctx context.Context, keys ...Key) error {
 	case <-rt.stopped:
 		return ErrStopped
 	default:
+	}
+	for i, k := range keys {
+		if _, err := keyHash(k); err != nil {
+			return fmt.Errorf("starss: WaitOn key %d: %w", i, err)
+		}
 	}
 	// Register before probing: the finish path only takes coord when it
 	// sees a positive waiter count, so the count must be visible before

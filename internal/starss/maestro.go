@@ -2,21 +2,24 @@ package starss
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"nexuspp/internal/segtab"
 )
 
-// This file retains the original single-maestro resolver as a measurable
-// baseline, the same way internal/nexus1 and internal/softrts retain the
-// systems the paper compares against. Every Submit and every task-finished
-// event funnels through one resolver goroutine over synchronous channels —
-// the exact software serialization bottleneck the paper's SSI motivation
-// describes and the sharded Runtime removes. It keeps full API parity with
-// the sharded runtime — typed handles, error propagation, poisoning,
-// context-aware lifecycle — so benchmarks drive both through the identical
-// TaskRuntime interface and compare like-for-like. New code should use New;
-// use NewMaestro only to measure against it (nexusbench exp shards,
+// This file keeps the single-maestro resolver as a measurable baseline, the
+// same way internal/nexus1 and internal/softrts model the systems the paper
+// compares against. Every Submit and every task-finished event funnels
+// through one resolver goroutine over synchronous channels — the software
+// serialization bottleneck the paper's SSI motivation describes and the
+// sharded Runtime removes. What is the maestro's own is that goroutine: it
+// owns the one dependence table (internal/segtab, the same table each
+// sharded bank holds) and the counters, barriers and window accounting.
+// Task validation, handles, the worker pipeline and the executor are the
+// sharded runtime's, so benchmarks drive both through the TaskRuntime
+// interface and compare like-for-like. New code should use New; use
+// NewMaestro only to measure against it (nexusbench exp shards,
 // BenchmarkShardScalability).
 
 // TaskRuntime is the execution interface shared by the sharded Runtime and
@@ -33,7 +36,6 @@ type TaskRuntime interface {
 // state is owned by one maestro goroutine; Submit hands every task to it
 // over an unbuffered channel and finished tasks queue back the same way.
 type MaestroRuntime struct {
-	cfg      Config
 	submitCh chan *taskNode
 	doneCh   chan *taskNode
 	barrier  chan chan struct{}
@@ -61,17 +63,8 @@ type MaestroRuntime struct {
 // not the sharded Runtime's extensions (SubmitAll, WaitOn, graph
 // recording).
 func NewMaestro(cfg Config) *MaestroRuntime {
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
-	}
-	if cfg.BufferingDepth <= 0 {
-		cfg.BufferingDepth = 2
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = 1024
-	}
+	cfg = cfg.withDefaults()
 	m := &MaestroRuntime{
-		cfg:      cfg,
 		submitCh: make(chan *taskNode),
 		doneCh:   make(chan *taskNode, cfg.Workers),
 		barrier:  make(chan chan struct{}),
@@ -89,10 +82,10 @@ func NewMaestro(cfg Config) *MaestroRuntime {
 	}
 	m.maestroW.Add(1)
 	go m.maestro()
-	m.workerWG.Add(cfg.Workers)
-	for i := 0; i < cfg.Workers; i++ {
-		go m.worker()
-	}
+	startWorkers(cfg, m.readyCh, &m.workerWG, func(node *taskNode, id int) {
+		m.exec.runNode(node, id)
+		m.doneCh <- node
+	})
 	return m
 }
 
@@ -118,12 +111,7 @@ func (m *MaestroRuntime) Submit(ctx context.Context, t Task) (*Handle, error) {
 		return nil, ctx.Err()
 	case m.window <- struct{}{}:
 	}
-	idx := m.nextIndex.Add(1) - 1
-	name := t.Name
-	if name == "" {
-		name = fmt.Sprintf("task%d", idx)
-	}
-	node.handle = &Handle{name: name, index: idx, done: make(chan struct{}), onDone: t.onDone}
+	node.bind(m.nextIndex.Add(1) - 1)
 	select {
 	case <-m.stopped:
 		<-m.window
@@ -215,25 +203,12 @@ func (m *MaestroRuntime) Close() error {
 // maestro owns all dependency state; it is the software Task Maestro.
 func (m *MaestroRuntime) maestro() {
 	defer m.maestroW.Done()
-	segs := make(map[Key]*segState)
 	var (
+		segs     segtab.Table[Key, *taskNode]
 		stats    Stats
 		inFlight int
 		barriers []chan struct{}
 	)
-	release := func(node *taskNode) {
-		if node.dc.Add(-1) == 0 {
-			m.readyCh <- node
-		}
-	}
-	pop := func(seg *segState) segWaiter {
-		w := seg.ko[0]
-		seg.ko = seg.ko[1:]
-		if seg.poison != nil {
-			w.node.poison.CompareAndSwap(nil, &taskFailure{err: seg.poison})
-		}
-		return w
-	}
 	finish := func(node *taskNode) {
 		root := node.rootCause()
 		switch {
@@ -246,47 +221,14 @@ func (m *MaestroRuntime) maestro() {
 			stats.Executed++
 		}
 		inFlight--
+		var buf [8]segtab.Grant[*taskNode]
+		granted := buf[:0]
 		for _, d := range node.deps {
-			seg := segs[d.Key]
-			if seg == nil {
-				panic(fmt.Sprintf("starss: finished task %q references unknown key %v", node.handle.name, d.Key))
-			}
-			if root != nil && seg.poison == nil {
-				seg.poison = root
-			}
-			if d.Mode == ModeIn {
-				seg.rdrs--
-				if seg.rdrs > 0 {
-					continue
-				}
-				if !seg.ww {
-					delete(segs, d.Key)
-					continue
-				}
-				w := pop(seg)
-				seg.isOut = true
-				seg.ww = false
-				release(w.node)
-				continue
-			}
-			seg.isOut = false
-			if len(seg.ko) == 0 {
-				delete(segs, d.Key)
-				continue
-			}
-			if seg.ko[0].wantsWrite {
-				w := pop(seg)
-				seg.isOut = true
-				release(w.node)
-				continue
-			}
-			for len(seg.ko) > 0 && !seg.ko[0].wantsWrite {
-				w := pop(seg)
-				seg.rdrs++
-				release(w.node)
-			}
-			if len(seg.ko) > 0 {
-				seg.ww = true
+			granted = segs.Leave(d.Key, d.Mode != ModeIn, root, granted)
+		}
+		for _, g := range granted {
+			if release(g) {
+				m.readyCh <- g.Waiter
 			}
 		}
 		node.handle.complete(node.err)
@@ -326,36 +268,10 @@ func (m *MaestroRuntime) maestro() {
 			}
 			dc := int32(0)
 			for _, d := range node.deps {
-				seg := segs[d.Key]
-				wantsWrite := d.Mode != ModeIn
-				if seg == nil {
-					seg = &segState{}
-					segs[d.Key] = seg
-					if wantsWrite {
-						seg.isOut = true
-					} else {
-						seg.rdrs = 1
-					}
-					continue
-				}
-				// Joining a still-live poisoned segment taints the task,
-				// mirroring Runtime.checkDeps.
-				if seg.poison != nil {
-					node.poison.CompareAndSwap(nil, &taskFailure{err: seg.poison})
-				}
-				if !wantsWrite {
-					if !seg.isOut && !seg.ww {
-						seg.rdrs++
-					} else {
-						seg.ko = append(seg.ko, segWaiter{node: node})
-						dc++
-					}
-					continue
-				}
-				seg.ko = append(seg.ko, segWaiter{node: node, wantsWrite: true})
-				dc++
-				if !seg.isOut {
-					seg.ww = true
+				queued, poison := segs.Join(d.Key, d.Mode != ModeIn, node)
+				node.inherit(poison)
+				if queued > 0 {
+					dc++
 				}
 			}
 			node.dc.Store(dc)
@@ -368,37 +284,4 @@ func (m *MaestroRuntime) maestro() {
 			finish(node)
 		}
 	}
-}
-
-// worker mirrors Runtime.worker, reporting completion to the maestro.
-func (m *MaestroRuntime) worker() {
-	defer m.workerWG.Done()
-	depth := m.cfg.BufferingDepth
-	if depth <= 1 {
-		for node := range m.readyCh {
-			prefetchNode(node)
-			m.runBody(node)
-		}
-		return
-	}
-	local := make(chan *taskNode, depth-1)
-	var ctlWG sync.WaitGroup
-	ctlWG.Add(1)
-	go func() {
-		defer ctlWG.Done()
-		defer close(local)
-		for node := range m.readyCh {
-			prefetchNode(node)
-			local <- node
-		}
-	}()
-	for node := range local {
-		m.runBody(node)
-	}
-	ctlWG.Wait()
-}
-
-func (m *MaestroRuntime) runBody(node *taskNode) {
-	m.exec.runNode(node, -1)
-	m.doneCh <- node
 }

@@ -26,11 +26,11 @@ type ReplayOptions struct {
 	// trace's timing unscaled, 10 replays ten times faster. Ignored when
 	// ZeroCost is set.
 	TimeScale int
-	// BatchSize is the SubmitAll chunk size on runtimes that support batch
-	// admission; 0 selects 256. Runtimes without SubmitAll (the maestro
-	// baseline) always admit one task at a time.
-	BatchSize int
 }
+
+// replayBatch is the SubmitAll chunk size Replay feeds runtimes that
+// support batch admission.
+const replayBatch = 256
 
 // ReplayResult reports one replay of a traced workload on a real runtime.
 type ReplayResult struct {
@@ -130,29 +130,25 @@ func sleepFor(ctx context.Context, d time.Duration) error {
 // runtime is left open (the caller owns its lifecycle), so several replays
 // can share one runtime as long as their key spaces are disjoint or drained.
 //
-// Sharded runtimes are fed through SubmitAll in chunks; the single-maestro
-// baseline, which has no batch admission, is fed one task at a time —
-// exactly the serialization it exists to measure.
+// Sharded runtimes are fed through SubmitAll in chunks of replayBatch; the
+// single-maestro baseline, which has no batch admission, is fed one task at
+// a time — exactly the serialization it exists to measure.
 func Replay(ctx context.Context, rt TaskRuntime, src workload.Source, opts ReplayOptions) (*ReplayResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	batch := opts.BatchSize
-	if batch <= 0 {
-		batch = 256
 	}
 	src.Reset()
 	before := rt.Stats()
 	start := time.Now()
 	if bs, ok := rt.(batchSubmitter); ok {
-		buf := make([]Task, 0, batch)
+		buf := make([]Task, 0, replayBatch)
 		for {
 			spec, ok := src.Next()
 			if !ok {
 				break
 			}
 			buf = append(buf, TaskFromSpec(spec, opts))
-			if len(buf) == batch {
+			if len(buf) == replayBatch {
 				if _, err := bs.SubmitAll(ctx, buf); err != nil {
 					return nil, fmt.Errorf("starss: replay %s: %w", src.Name(), err)
 				}

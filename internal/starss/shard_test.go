@@ -76,7 +76,7 @@ func TestMultiKeyTasksAcrossBanks(t *testing.T) {
 				used[key] = true
 				deps = append(deps, Dep{Key: key, Mode: Mode(rng.Intn(3))})
 			}
-			norm, _ := normalizeDeps(deps)
+			norm, _, _ := normalizeDeps(deps)
 			rt.MustSubmit(Task{
 				Deps: deps,
 				Do: func(context.Context) error {

@@ -49,6 +49,7 @@ import (
 
 	"nexuspp/internal/faults"
 	"nexuspp/internal/obs"
+	"nexuspp/internal/segtab"
 )
 
 // Mode is a dependency direction.
@@ -78,7 +79,8 @@ func (m Mode) String() string {
 }
 
 // Key identifies a piece of data. Keys are compared with ==; any comparable
-// value works (strings, ints, pointers, small structs).
+// value works (strings, ints, pointers, small structs). A task with a key
+// that is not comparable (a slice, a map, a func) is rejected at Submit.
 type Key = any
 
 // Dep declares one data access of a task.
@@ -281,7 +283,7 @@ func (h *Handle) complete(err error) {
 // lock) but are always read atomically by Stats.
 type bank struct {
 	mu           sync.Mutex
-	segs         map[Key]*segState
+	segs         segtab.Table[Key, *taskNode]
 	acquisitions atomic.Uint64
 	contended    atomic.Uint64
 	maxQueue     atomic.Uint64
@@ -293,7 +295,6 @@ type Runtime struct {
 	cfg      Config
 	banks    []bank
 	mask     uint64
-	seed     maphash.Seed
 	window   chan struct{}
 	readyCh  chan *taskNode
 	stopOnce sync.Once
@@ -353,15 +354,16 @@ type taskNode struct {
 	ctx    context.Context
 	handle *Handle
 	deps   []Dep // normalised
-	// bankOf[i] is the bank index of deps[i]; banks is the sorted,
-	// deduplicated set — the per-task acquisition order.
-	bankOf []int
-	banks  []int
-	dc     atomic.Int32
+	// keyHash[i] is the hash of deps[i].Key, computed once by makeNode;
+	// the sharded runtime derives deps[i]'s bank from it. banks is the
+	// sorted, deduplicated bank set — the per-task acquisition order.
+	keyHash []uint64
+	banks   []int
+	dc      atomic.Int32
 	// poison carries the root-cause error of a failed transitive
-	// dependency. Set (first failure wins) by the finish path of a
-	// poisoned predecessor — or by checkDeps when the task joins a
-	// still-poisoned segment — before this node can reach a worker.
+	// dependency. Set (first failure wins, see inherit) when the task joins
+	// a still-poisoned segment or is released from one, before this node
+	// can reach a worker.
 	poison atomic.Pointer[taskFailure]
 	// prefetchErr records a panic recovered from Task.Prefetch on the
 	// controller goroutine; the worker converts it into the task's
@@ -371,23 +373,6 @@ type taskNode struct {
 	// before resolveFinished and published through the handle.
 	err        error
 	wasSkipped bool
-}
-
-type segState struct {
-	isOut bool
-	rdrs  int
-	ww    bool
-	ko    []segWaiter
-	// poison records that a task ordered in this segment's history failed;
-	// every waiter popped afterwards is a transitive dependent and is
-	// skipped. It dies with the segment: once the key drains and the
-	// segment is deleted, later submissions start clean.
-	poison error
-}
-
-type segWaiter struct {
-	node       *taskNode
-	wantsWrite bool
 }
 
 // ErrStopped is returned by Submit, Wait and WaitOn after Close.
@@ -423,8 +408,8 @@ func nextPow2(n int) int {
 	return p
 }
 
-// New starts a runtime with the given configuration.
-func New(cfg Config) *Runtime {
+// withDefaults fills the zero values of the fields both engines use.
+func (cfg Config) withDefaults() Config {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -434,6 +419,12 @@ func New(cfg Config) *Runtime {
 	if cfg.Window <= 0 {
 		cfg.Window = 1024
 	}
+	return cfg
+}
+
+// New starts a runtime with the given configuration.
+func New(cfg Config) *Runtime {
+	cfg = cfg.withDefaults()
 	if cfg.Shards <= 0 {
 		cfg.Shards = defaultShards(cfg.Workers)
 	}
@@ -442,13 +433,9 @@ func New(cfg Config) *Runtime {
 		cfg:     cfg,
 		banks:   make([]bank, cfg.Shards),
 		mask:    uint64(cfg.Shards - 1),
-		seed:    maphash.MakeSeed(),
 		window:  make(chan struct{}, cfg.Window),
 		readyCh: make(chan *taskNode, cfg.Window),
 		stopped: make(chan struct{}),
-	}
-	for i := range rt.banks {
-		rt.banks[i].segs = make(map[Key]*segState)
 	}
 	if cfg.RecordGraph {
 		rt.recorder = newGraphRecorder()
@@ -467,10 +454,7 @@ func New(cfg Config) *Runtime {
 			rt.emit(worker, obs.KindFault, node, worker)
 		},
 	}
-	rt.workerWG.Add(cfg.Workers)
-	for i := 0; i < cfg.Workers; i++ {
-		go rt.worker(i)
-	}
+	startWorkers(cfg, rt.readyCh, &rt.workerWG, rt.runBody)
 	return rt
 }
 
@@ -499,25 +483,42 @@ func (rt *Runtime) emit(lane int, kind obs.Kind, node *taskNode, worker int) {
 	rt.rec.Emit(lane, kind, node.handle.index, len(node.deps), node.firstBank(), worker)
 }
 
-// bankIndex hashes a key to its bank. Like map insertion, it panics for
-// keys that are not comparable.
-func (rt *Runtime) bankIndex(k Key) int {
-	if rt.mask == 0 {
-		return 0
-	}
-	return int(maphash.Comparable(rt.seed, k) & rt.mask)
+// keySeed is the one seed every dependency key is hashed with, so a key's
+// bank is a pure function of the key.
+var keySeed = maphash.MakeSeed()
+
+// keyHash hashes k, or reports that k is not comparable — a key no
+// dependence table could look up.
+func keyHash(k Key) (h uint64, err error) {
+	defer func() {
+		if recover() != nil {
+			err = fmt.Errorf("key of type %T is not comparable", k)
+		}
+	}()
+	return maphash.Comparable(keySeed, k), nil
 }
 
-// prepare computes the node's bank mapping and sorted acquisition order.
+// bankIndex hashes a key to its bank. It panics for keys that are not
+// comparable.
+func (rt *Runtime) bankIndex(k Key) int {
+	return int(maphash.Comparable(keySeed, k) & rt.mask)
+}
+
+// bankOf is the bank index of node.deps[i].
+func (rt *Runtime) bankOf(node *taskNode, i int) int {
+	return int(node.keyHash[i] & rt.mask)
+}
+
+// prepare computes the node's sorted bank acquisition order.
 func (rt *Runtime) prepare(node *taskNode) {
 	if len(node.deps) == 0 {
 		return
 	}
-	node.bankOf = make([]int, len(node.deps))
-	for i, d := range node.deps {
-		node.bankOf[i] = rt.bankIndex(d.Key)
+	banks := make([]int, len(node.deps))
+	for i := range banks {
+		banks[i] = rt.bankOf(node, i)
 	}
-	node.banks = sortedUnique(append([]int(nil), node.bankOf...))
+	node.banks = sortedUnique(banks)
 }
 
 // sortedUnique sorts ints in place and drops duplicates — the canonical
@@ -586,6 +587,7 @@ func (rt *Runtime) Submit(ctx context.Context, t Task) (*Handle, error) {
 	if err != nil {
 		return nil, err
 	}
+	rt.prepare(node)
 	// Check cancellation before racing the window send, so a dead context
 	// is rejected deterministically rather than sometimes admitted.
 	if err := ctx.Err(); err != nil {
@@ -606,7 +608,6 @@ func (rt *Runtime) Submit(ctx context.Context, t Task) (*Handle, error) {
 		return nil, ErrStopped
 	default:
 	}
-	rt.prepare(node)
 	rt.admit(node)
 	rt.resolveNew(node)
 	rt.subMu.RUnlock()
@@ -629,6 +630,7 @@ func (rt *Runtime) SubmitAll(ctx context.Context, tasks []Task) ([]*Handle, erro
 		if err != nil {
 			return nil, fmt.Errorf("task %d: %w", i, err)
 		}
+		rt.prepare(node)
 		nodes[i] = node
 	}
 	if err := ctx.Err(); err != nil {
@@ -700,7 +702,6 @@ func (rt *Runtime) submitChunk(ctx context.Context, nodes []*taskNode) error {
 	}
 	var banks []int
 	for _, node := range nodes {
-		rt.prepare(node)
 		banks = append(banks, node.banks...)
 	}
 	uniq := sortedUnique(banks)
@@ -725,27 +726,35 @@ func (rt *Runtime) submitChunk(ctx context.Context, nodes []*taskNode) error {
 	return nil
 }
 
-// makeNode validates and normalises one task.
+// makeNode validates and normalises one task. Both engines call it before
+// they take a window token or a lock, so a rejected task leaves no state
+// behind.
 func makeNode(ctx context.Context, t Task) (*taskNode, error) {
 	if t.Do == nil {
 		return nil, errors.New("starss: task has no Do function")
 	}
-	deps, err := normalizeDeps(t.Deps)
+	deps, hash, err := normalizeDeps(t.Deps)
 	if err != nil {
 		return nil, err
 	}
-	return &taskNode{task: t, ctx: ctx, deps: deps}, nil
+	return &taskNode{task: t, ctx: ctx, deps: deps, keyHash: hash}, nil
 }
 
-// admit assigns the task its ID (submission index), creates the handle and
-// updates the graph recorder. The caller must already hold a window token.
-func (rt *Runtime) admit(node *taskNode) {
-	idx := rt.submitted.Add(1) - 1
+// bind gives the node its task ID — the submission index idx — and creates
+// its handle.
+func (node *taskNode) bind(idx uint64) {
 	name := node.task.Name
 	if name == "" {
 		name = fmt.Sprintf("task%d", idx)
 	}
 	node.handle = &Handle{name: name, index: idx, done: make(chan struct{}), onDone: node.task.onDone}
+}
+
+// admit binds the node to the next task ID and accounts for it in the
+// window and the graph recorder. The caller must already hold a window
+// token.
+func (rt *Runtime) admit(node *taskNode) {
+	node.bind(rt.submitted.Add(1) - 1)
 	n := rt.inFlight.Add(1)
 	for {
 		max := rt.maxInFlight.Load()
@@ -784,47 +793,18 @@ func (rt *Runtime) noteQueueDepth(b *bank, depth int) {
 	}
 }
 
-// checkDeps acquires or queues on every segment of the node and returns the
-// resulting dependence count. The caller holds all of node.banks.
+// checkDeps joins every segment of the node (Check Deps, Listing 2) and
+// returns the resulting dependence count. The caller holds all of
+// node.banks.
 func (rt *Runtime) checkDeps(node *taskNode) int {
 	dc := 0
 	for i, d := range node.deps {
-		b := &rt.banks[node.bankOf[i]]
-		seg := b.segs[d.Key]
-		wantsWrite := d.Mode != ModeIn
-		if seg == nil {
-			seg = &segState{}
-			b.segs[d.Key] = seg
-			if wantsWrite {
-				seg.isOut = true
-			} else {
-				seg.rdrs = 1
-			}
-			continue
-		}
-		// A still-live poisoned segment taints every task that joins it —
-		// reader or writer, queued or not — until the key drains and the
-		// segment is deleted. Without this a reader sharing the segment
-		// with already-skipped readers would run against data its failed
-		// producer never wrote.
-		if seg.poison != nil {
-			node.poison.CompareAndSwap(nil, &taskFailure{err: seg.poison})
-		}
-		if !wantsWrite {
-			if !seg.isOut && !seg.ww {
-				seg.rdrs++
-			} else {
-				seg.ko = append(seg.ko, segWaiter{node: node})
-				dc++
-				rt.noteQueueDepth(b, len(seg.ko))
-			}
-			continue
-		}
-		seg.ko = append(seg.ko, segWaiter{node: node, wantsWrite: true})
-		dc++
-		rt.noteQueueDepth(b, len(seg.ko))
-		if !seg.isOut {
-			seg.ww = true
+		b := &rt.banks[rt.bankOf(node, i)]
+		queued, poison := b.segs.Join(d.Key, d.Mode != ModeIn, node)
+		node.inherit(poison)
+		if queued > 0 {
+			dc++
+			rt.noteQueueDepth(b, queued)
 		}
 	}
 	// The count must be published before the banks are released: a
@@ -832,6 +812,22 @@ func (rt *Runtime) checkDeps(node *taskNode) int {
 	// bank unlocks.
 	node.dc.Store(int32(dc))
 	return dc
+}
+
+// inherit records err as the node's poison unless the node already carries
+// one: the first failure wins.
+func (node *taskNode) inherit(err error) {
+	if err != nil {
+		node.poison.CompareAndSwap(nil, &taskFailure{err: err})
+	}
+}
+
+// release applies one grant of the handle-finished path to its waiter: the
+// poison it inherits, then one fewer outstanding dependence. It reports
+// whether the waiter is now ready to run.
+func release(g segtab.Grant[*taskNode]) bool {
+	g.Waiter.inherit(g.Poison)
+	return g.Waiter.dc.Add(-1) == 0
 }
 
 // rootCause is the error a finished node propagates to its dependents: its
@@ -849,77 +845,25 @@ func (node *taskNode) rootCause() error {
 }
 
 // resolveFinished runs the Handle Finished path (SSIII-B) for one task:
-// releases its segments, pops kick-off lists and dispatches any task whose
-// dependence count reaches zero. A failed (or skipped) finisher poisons the
-// segments it releases, so every waiter popped behind it — now or by a
-// later finisher — is skipped as a transitive dependent while the kick-off
-// lists drain normally. worker is the finishing worker's index, for the
-// event stream.
+// leaves its segments and dispatches every waiter whose dependence count
+// reaches zero. A failed (or skipped) finisher poisons the segments it
+// leaves, so every waiter released behind it — now or by a later finisher
+// — is skipped as a transitive dependent while the kick-off lists drain
+// normally. worker is the finishing worker's index, for the event stream.
 func (rt *Runtime) resolveFinished(node *taskNode, worker int) {
 	root := node.rootCause()
-	var released []*taskNode
-	release := func(n *taskNode) {
-		if n.dc.Add(-1) == 0 {
-			released = append(released, n)
-		}
-	}
-	pop := func(seg *segState) segWaiter {
-		w := seg.ko[0]
-		seg.ko = seg.ko[1:]
-		if seg.poison != nil {
-			w.node.poison.CompareAndSwap(nil, &taskFailure{err: seg.poison})
-		}
-		return w
-	}
+	var buf [8]segtab.Grant[*taskNode]
+	granted := buf[:0]
 	rt.lockBanks(node.banks)
 	for i, d := range node.deps {
-		b := &rt.banks[node.bankOf[i]]
-		seg := b.segs[d.Key]
-		if seg == nil {
-			panic(fmt.Sprintf("starss: finished task %q references unknown key %v", node.handle.name, d.Key))
-		}
-		if root != nil && seg.poison == nil {
-			seg.poison = root
-		}
-		if d.Mode == ModeIn {
-			seg.rdrs--
-			if seg.rdrs > 0 {
-				continue
-			}
-			if !seg.ww {
-				delete(b.segs, d.Key)
-				continue
-			}
-			w := pop(seg)
-			seg.isOut = true
-			seg.ww = false
-			release(w.node)
-			continue
-		}
-		seg.isOut = false
-		if len(seg.ko) == 0 {
-			delete(b.segs, d.Key)
-			continue
-		}
-		if seg.ko[0].wantsWrite {
-			w := pop(seg)
-			seg.isOut = true
-			release(w.node)
-			continue
-		}
-		for len(seg.ko) > 0 && !seg.ko[0].wantsWrite {
-			w := pop(seg)
-			seg.rdrs++
-			release(w.node)
-		}
-		if len(seg.ko) > 0 {
-			seg.ww = true
-		}
+		granted = rt.banks[rt.bankOf(node, i)].segs.Leave(d.Key, d.Mode != ModeIn, root, granted)
 	}
 	rt.unlockBanks(node.banks)
-	for _, n := range released {
-		rt.emit(worker, obs.KindReady, n, worker)
-		rt.readyCh <- n
+	for _, g := range granted {
+		if release(g) {
+			rt.emit(worker, obs.KindReady, g.Waiter, worker)
+			rt.readyCh <- g.Waiter
+		}
 	}
 	switch {
 	case node.wasSkipped:
@@ -1022,7 +966,7 @@ func (rt *Runtime) quiet(keys []Key) bool {
 		b := &rt.banks[rt.bankIndex(k)]
 		//nexusvet:ignore lockorder single-bank probe: one mutex held at a time, released before the next key, so no acquisition order exists to violate
 		b.mu.Lock()
-		_, busy := b.segs[k]
+		busy := b.segs.Live(k)
 		b.mu.Unlock()
 		if busy {
 			return false
@@ -1106,64 +1050,83 @@ func (rt *Runtime) Close() error {
 	return rt.failure()
 }
 
-// normalizeDeps merges duplicate keys: any read + any write on the same key
-// becomes inout, duplicate same-mode entries collapse.
-func normalizeDeps(deps []Dep) ([]Dep, error) {
-	if len(deps) <= 1 {
-		return deps, nil
+// normalizeDeps hashes every key and merges duplicate keys: any read + any
+// write on the same key becomes inout, duplicate same-mode entries
+// collapse. hash[i] is the hash of the returned deps[i].Key. A key that is
+// not comparable is an error naming its index in deps.
+func normalizeDeps(deps []Dep) (out []Dep, hash []uint64, err error) {
+	if len(deps) == 0 {
+		return deps, nil, nil
 	}
-	out := make([]Dep, 0, len(deps))
+	hash = make([]uint64, len(deps))
+	for i, d := range deps {
+		if hash[i], err = keyHash(d.Key); err != nil {
+			return nil, nil, fmt.Errorf("starss: dep %d: %w", i, err)
+		}
+	}
+	if len(deps) == 1 {
+		return deps, hash, nil
+	}
+	out = make([]Dep, 0, len(deps))
 	index := make(map[Key]int, len(deps))
-	for _, d := range deps {
-		i, seen := index[d.Key]
+	for i, d := range deps {
+		j, seen := index[d.Key]
 		if !seen {
 			index[d.Key] = len(out)
+			hash[len(out)] = hash[i] // compacts in place: len(out) <= i
 			out = append(out, d)
 			continue
 		}
-		a, b := out[i].Mode, d.Mode
+		a, b := out[j].Mode, d.Mode
 		switch {
 		case a == b:
 		case a == ModeInOut:
 		default:
-			out[i].Mode = ModeInOut
+			out[j].Mode = ModeInOut
 		}
 	}
-	return out, nil
+	return out, hash[:len(out)], nil
 }
 
-// worker is one worker core plus its Task Controller: a small pipeline that
-// prefetches the inputs of up to BufferingDepth-1 upcoming tasks while the
-// current one executes. id is the worker's index — its event-stream lane.
-func (rt *Runtime) worker(id int) {
-	defer rt.workerWG.Done()
-	depth := rt.cfg.BufferingDepth
-	if depth <= 1 {
-		// No buffering: fetch, run and write back serially.
-		for node := range rt.readyCh {
-			prefetchNode(node)
-			rt.runBody(node, id)
-		}
-		return
+// startWorkers starts cfg.Workers workers on ready and adds them to wg;
+// each exits once ready is closed and drained. A worker is one worker core
+// plus its Task Controller: a small pipeline that prefetches the inputs of
+// up to BufferingDepth-1 upcoming tasks while the current one executes.
+// run executes one node on worker id.
+func startWorkers(cfg Config, ready <-chan *taskNode, wg *sync.WaitGroup, run func(node *taskNode, id int)) {
+	wg.Add(cfg.Workers)
+	for id := 0; id < cfg.Workers; id++ {
+		go func() {
+			defer wg.Done()
+			if cfg.BufferingDepth <= 1 {
+				// No buffering: fetch, run and write back serially.
+				for node := range ready {
+					prefetchNode(node)
+					run(node, id)
+				}
+				return
+			}
+			// The controller goroutine prefetches into a bounded local
+			// buffer; this goroutine executes. Buffer capacity depth-1 means
+			// up to depth tasks are resident per worker (one executing,
+			// depth-1 prefetched).
+			local := make(chan *taskNode, cfg.BufferingDepth-1)
+			var ctlWG sync.WaitGroup
+			ctlWG.Add(1)
+			go func() {
+				defer ctlWG.Done()
+				defer close(local)
+				for node := range ready {
+					prefetchNode(node)
+					local <- node
+				}
+			}()
+			for node := range local {
+				run(node, id)
+			}
+			ctlWG.Wait()
+		}()
 	}
-	// The controller goroutine prefetches into a bounded local buffer; this
-	// goroutine executes. Buffer capacity depth-1 means up to depth tasks
-	// are resident per worker (one executing, depth-1 prefetched).
-	local := make(chan *taskNode, depth-1)
-	var ctlWG sync.WaitGroup
-	ctlWG.Add(1)
-	go func() {
-		defer ctlWG.Done()
-		defer close(local)
-		for node := range rt.readyCh {
-			prefetchNode(node)
-			local <- node
-		}
-	}()
-	for node := range local {
-		rt.runBody(node, id)
-	}
-	ctlWG.Wait()
 }
 
 // prefetchNode runs the Get Inputs phase unless the task will not run. A

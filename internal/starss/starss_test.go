@@ -3,6 +3,7 @@ package starss
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -31,12 +32,17 @@ func TestDepConstructors(t *testing.T) {
 }
 
 func TestNormalizeDeps(t *testing.T) {
-	deps, err := normalizeDeps([]Dep{In("a"), Out("a"), In("b"), In("b")})
+	deps, hash, err := normalizeDeps([]Dep{In("a"), Out("a"), In("b"), In("b")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(deps) != 2 {
-		t.Fatalf("deps = %v", deps)
+	if len(deps) != 2 || len(hash) != 2 {
+		t.Fatalf("deps = %v, hash = %v", deps, hash)
+	}
+	for i, d := range deps {
+		if h, _ := keyHash(d.Key); hash[i] != h {
+			t.Errorf("hash[%d] is not the hash of %v", i, d.Key)
+		}
 	}
 	if deps[0].Key != "a" || deps[0].Mode != ModeInOut {
 		t.Errorf("merged dep = %v, want a/inout", deps[0])
@@ -170,6 +176,127 @@ func TestSubmitErrors(t *testing.T) {
 	}
 }
 
+// TestUnhashableKeyRejected checks that a task whose key is not comparable
+// is rejected by Submit and SubmitAll with an error naming the dep (and the
+// task in a batch), before it takes a window token or a lock, and that
+// WaitOn rejects such a key the same way: the runtime then runs a valid
+// task and closes.
+func TestUnhashableKeyRejected(t *testing.T) {
+	noop := func(context.Context) error { return nil }
+	for name, rt := range newRuntimes(Config{Workers: 2, Window: 1}) {
+		t.Run(name, func(t *testing.T) {
+			// The deadline bounds a Submit that waits on a leaked window
+			// token: with Window 1, one leak blocks every later task.
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			// guard turns a panic into an error, so the parent commit's
+			// behaviour fails the test instead of the test binary.
+			guard := func(f func() error) (err error) {
+				defer func() {
+					if r := recover(); r != nil {
+						err = fmt.Errorf("panicked: %v", r)
+					}
+				}()
+				return f()
+			}
+			check := func(err error, want ...string) {
+				t.Helper()
+				if err == nil {
+					t.Errorf("unhashable key accepted, want an error naming %q", want)
+					return
+				}
+				for _, w := range append(want, "not comparable") {
+					if !strings.Contains(err.Error(), w) {
+						t.Errorf("error %q does not name %q", err, w)
+					}
+				}
+			}
+			check(guard(func() error {
+				_, err := rt.Submit(ctx, Task{Deps: []Dep{In([]int{1})}, Do: noop})
+				return err
+			}), "dep 0:")
+			check(guard(func() error {
+				_, err := rt.Submit(ctx, Task{Deps: []Dep{Out("a"), InOut(map[int]int{})}, Do: noop})
+				return err
+			}), "dep 1:")
+			if b, ok := rt.(batchSubmitter); ok {
+				check(guard(func() error {
+					_, err := b.SubmitAll(ctx, []Task{
+						{Deps: []Dep{Out("a")}, Do: noop},
+						{Deps: []Dep{In([]int{2})}, Do: noop},
+					})
+					return err
+				}), "task 1:", "dep 0:")
+			}
+			if r, ok := rt.(*Runtime); ok {
+				check(guard(func() error { return r.WaitOn(ctx, "a", []int{3}) }), "key 1:")
+			}
+			if st := rt.Stats(); st.Submitted != 0 {
+				t.Errorf("rejected tasks were admitted: %+v", st)
+			}
+			h, err := rt.Submit(ctx, Task{Deps: []Dep{InOut("a")}, Do: noop})
+			if err != nil {
+				t.Fatalf("valid task after the rejections: %v", err)
+			}
+			closed := make(chan error, 1)
+			go func() { closed <- rt.Close() }()
+			select {
+			case err := <-closed:
+				if err != nil {
+					t.Errorf("Close = %v", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("Close hung after the rejected submissions")
+			}
+			if err := h.Err(); err != nil {
+				t.Errorf("valid task = %v", err)
+			}
+		})
+	}
+}
+
+// TestZeroWorkersSelectsGOMAXPROCS checks the Config.Workers default on
+// both engines. Without prefetch buffering each worker holds one task, so
+// GOMAXPROCS tasks whose bodies all rendezvous can only complete when
+// GOMAXPROCS workers run them.
+func TestZeroWorkersSelectsGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(4, runtime.GOMAXPROCS(0))))
+	n := runtime.GOMAXPROCS(0)
+	for name, rt := range newRuntimes(Config{BufferingDepth: 1}) {
+		t.Run(name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			var arrived atomic.Int32
+			all := make(chan struct{})
+			handles := make([]*Handle, n)
+			for i := range handles {
+				h, err := rt.Submit(ctx, Task{Do: func(ctx context.Context) error {
+					if arrived.Add(1) == int32(n) {
+						close(all)
+					}
+					select {
+					case <-all:
+						return nil
+					case <-ctx.Done():
+						return fmt.Errorf("%d of %d tasks ran at once: %w", arrived.Load(), n, ctx.Err())
+					}
+				}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				handles[i] = h
+			}
+			for i, h := range handles {
+				if err := h.Wait(context.Background()); err != nil {
+					t.Errorf("task %d: %v", i, err)
+				}
+			}
+			// Close returns the first task failure, already reported above.
+			_ = rt.Close()
+		})
+	}
+}
+
 func TestBarrierWaitsForAll(t *testing.T) {
 	rt := New(Config{Workers: 4})
 	defer mustClose(t, rt)
@@ -253,7 +380,7 @@ func TestHazardExclusion(t *testing.T) {
 		if len(deps) == 0 {
 			deps = []Dep{In(99)}
 		}
-		norm, _ := normalizeDeps(deps)
+		norm, _, _ := normalizeDeps(deps)
 		rt.MustSubmit(Task{
 			Deps: deps,
 			Do: func(context.Context) error {
@@ -419,7 +546,7 @@ func TestRandomGraphsProperty(t *testing.T) {
 			if len(deps) == 0 {
 				deps = []Dep{In(42)}
 			}
-			norm, _ := normalizeDeps(deps)
+			norm, _, _ := normalizeDeps(deps)
 			if _, err := rt.Submit(context.Background(), Task{
 				Deps: deps,
 				Do: func(context.Context) error {
