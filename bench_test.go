@@ -255,8 +255,8 @@ func BenchmarkRuntimeThroughput(b *testing.B) {
 
 // BenchmarkShardScalability is the contended-vs-independent-keys
 // scalability benchmark for the sharded dependency banks, against the
-// retained single-maestro baseline (every Submit and finish funnels
-// through one resolver goroutine — the serialization the paper motivates
+// retained single-maestro baseline (every Check Deps and Handle Finished
+// runs on one resolver goroutine — the serialization the paper motivates
 // against) and against the sharded table clamped to one bank. On
 // independent keys (each submitter goroutine owns a disjoint key range)
 // sharding must win; on one globally contended key the dependency chain
@@ -267,15 +267,15 @@ func BenchmarkRuntimeThroughput(b *testing.B) {
 func BenchmarkShardScalability(b *testing.B) {
 	resolvers := []struct {
 		name string
-		mk   func(workers int) starss.TaskRuntime
+		mk   func(workers int) *starss.Runtime
 	}{
-		{"maestro", func(w int) starss.TaskRuntime {
+		{"maestro", func(w int) *starss.Runtime {
 			return starss.NewMaestro(starss.Config{Workers: w, Window: 4096})
 		}},
-		{"single_bank", func(w int) starss.TaskRuntime {
+		{"single_bank", func(w int) *starss.Runtime {
 			return starss.New(starss.Config{Workers: w, Shards: 1, Window: 4096})
 		}},
-		{"sharded", func(w int) starss.TaskRuntime {
+		{"sharded", func(w int) *starss.Runtime {
 			return starss.New(starss.Config{Workers: w, Window: 4096})
 		}},
 	}

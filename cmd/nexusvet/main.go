@@ -5,10 +5,11 @@
 // See DESIGN.md "Statically enforced invariants" for the mapping from each
 // analyzer to the hardware guarantee it replaces.
 //
-// Two modes share one suite:
+// It runs as a vet tool (the unit-checker protocol), which is how make lint
+// and CI run it:
 //
-//	nexusvet ./...                            standalone, loads via go list
-//	go vet -vettool=$(pwd)/bin/nexusvet ./...  the CI gate (unit-checker protocol)
+//	go build -o bin/nexusvet ./cmd/nexusvet
+//	go vet -vettool=$(pwd)/bin/nexusvet ./...
 //
 // Findings exit nonzero. Suppress a finding only with a reasoned
 // directive: //nexusvet:ignore <analyzer> <reason>.

@@ -18,28 +18,29 @@ import (
 	"nexuspp/internal/workload"
 )
 
-func init() {
-	Register(simBackend{
-		name: "nexuspp",
-		desc: "Nexus++ hardware task-management simulator (the paper's SSIII model, Table IV defaults)",
-		conf: core.DefaultConfig,
-	})
-	Register(simBackend{
+// backends is every engine, sorted by name.
+var backends = []Backend{
+	replayBackend{
+		name:    "maestro",
+		desc:    "executing single-maestro baseline runtime (every Check Deps and Handle Finished runs on one resolver goroutine)",
+		maestro: true,
+	},
+	simBackend{
 		name: "nexus",
 		desc: "original-Nexus simulator (hard 5-param/kick-off limits, no double buffering; may reject workloads)",
 		conf: nexus1.Config,
-	})
-	Register(softrtsBackend{})
-	Register(replayBackend{
+	},
+	simBackend{
+		name: "nexuspp",
+		desc: "Nexus++ hardware task-management simulator (the paper's SSIII model, Table IV defaults)",
+		conf: core.DefaultConfig,
+	},
+	replayBackend{
 		name:    "runtime",
 		desc:    "executing sharded StarSs runtime replaying the trace with synthesized Go task bodies",
 		maestro: false,
-	})
-	Register(replayBackend{
-		name:    "maestro",
-		desc:    "executing single-resolver baseline runtime (every submit/finish funnels through one goroutine)",
-		maestro: true,
-	})
+	},
+	softrtsBackend{},
 }
 
 // simBackend adapts the shared hardware model (package core) under a
@@ -117,7 +118,7 @@ func (b replayBackend) Describe() string { return b.desc }
 
 func (b replayBackend) Run(ctx context.Context, cfg Config, src workload.Source) (*Report, error) {
 	cfg = cfg.withDefaults()
-	var rt starss.TaskRuntime
+	var rt *starss.Runtime
 	if b.maestro {
 		rt = starss.NewMaestro(starss.Config{Workers: cfg.Workers, Window: 4096})
 	} else {

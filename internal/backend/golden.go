@@ -257,7 +257,7 @@ func descendantCount(g *depgraph.Graph, idx int) int {
 func poisonReplay(ctx context.Context, c GoldenCase, maestro bool, failIdx int) (failed, skipped uint64, err error) {
 	tr := workload.Collect(c.New(c.Seed))
 	cfg := starss.Config{Workers: c.Workers, Window: len(tr.Tasks) + 1}
-	var rt starss.TaskRuntime
+	var rt *starss.Runtime
 	if maestro {
 		rt = starss.NewMaestro(cfg)
 	} else {

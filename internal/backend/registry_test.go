@@ -35,20 +35,3 @@ func TestLookupWorkloadUnknownListsSortedNames(t *testing.T) {
 		}
 	}
 }
-
-// TestRegisterWorkloadRejectsBadEntries pins the registry's panics: empty
-// name, nil constructor, duplicate name.
-func TestRegisterWorkloadRejectsBadEntries(t *testing.T) {
-	mustPanic := func(name string, w WorkloadInfo) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: RegisterWorkload did not panic", name)
-			}
-		}()
-		RegisterWorkload(w)
-	}
-	mustPanic("empty-name", WorkloadInfo{New: Workloads()[0].New})
-	mustPanic("nil-constructor", WorkloadInfo{Name: "broken"})
-	mustPanic("duplicate", WorkloadInfo{Name: "wavefront", New: Workloads()[0].New})
-}

@@ -15,8 +15,8 @@ import (
 // ShardScaling measures the executing runtime's replay throughput under
 // three dependency resolvers, all driven through the unified backend
 // interface in zero-cost mode (empty task bodies, so the resolver is the
-// only cost): the retained single-maestro baseline backend (every submit
-// and finish funnels through one resolver goroutine — the software
+// only cost): the retained single-maestro baseline backend (every Check
+// Deps and Handle Finished runs on one resolver goroutine — the software
 // bottleneck of the paper's SSI motivation), the sharded runtime backend
 // clamped to one bank, and the sharded default. Striped keys is the
 // workload sharding exists for; a single contended key is serial by
@@ -90,8 +90,8 @@ func ShardScaling(opts Options) (*report.Table, error) {
 		}
 		t.AddRow(row...)
 	}
-	t.AddNote("maestro: the original resolver goroutine, a synchronous channel rendezvous per submit and per finish (the serialization the paper motivates against); it has no batch admission")
-	t.AddNote("striped keys: 4096 independent InOut chains, the resolver itself is the bottleneck; sharded banks plus batch admission remove it")
+	t.AddNote("maestro: the same runtime and batch admission, but every Check Deps and Handle Finished runs on one resolver goroutine, reached by a channel send per submit and per finish (the serialization the paper motivates against)")
+	t.AddNote("striped keys: 4096 independent InOut chains, the resolver itself is the bottleneck; resolving in place over sharded banks removes it")
 	t.AddNote("contended: every task InOuts one key (1/10th the task count — the chain is serial by construction), no resolver design can help; tasks/s stays comparable")
 	t.AddNote("runtime health across all runs: %v (failed/skipped must be 0 on this workload)", health)
 	if health.Failed != 0 || health.Skipped != 0 {

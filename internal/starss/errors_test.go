@@ -16,8 +16,8 @@ var errBoom = errors.New("boom")
 
 // newRuntimes builds both the sharded runtime and the single-maestro
 // baseline, so every handle/poisoning test pins API parity across the two.
-func newRuntimes(cfg Config) map[string]TaskRuntime {
-	return map[string]TaskRuntime{
+func newRuntimes(cfg Config) map[string]*Runtime {
+	return map[string]*Runtime{
 		"sharded": New(cfg),
 		"maestro": NewMaestro(cfg),
 	}
@@ -644,8 +644,9 @@ func TestReaderJoiningPoisonedSegmentSkipped(t *testing.T) {
 }
 
 // TestMaestroCloseSubmitRace stresses Close racing concurrent Submits: a
-// straggler admitted between Close's drain and the stop must be finished
-// by the maestro's drain loop, never leaving a worker wedged on doneCh.
+// straggler admitted between Close's drain and the stop must still be
+// resolved before the maestro goroutine stops, never leaving a worker
+// wedged on doneCh.
 func TestMaestroCloseSubmitRace(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		m := NewMaestro(Config{Workers: 2, Window: 8})
@@ -673,8 +674,8 @@ func TestMaestroCloseSubmitRace(t *testing.T) {
 
 // TestSubmitAfterCloseUniformErrStopped pins the post-Close admission
 // contract on both runtimes: every Submit/SubmitAll after Close returns
-// ErrStopped — including the sharded runtime's zero-length batch, which
-// once skipped the stopped check entirely and reported success.
+// ErrStopped — including a zero-length batch, which once skipped the
+// stopped check entirely and reported success.
 func TestSubmitAfterCloseUniformErrStopped(t *testing.T) {
 	for name, rt := range newRuntimes(Config{Workers: 2, Window: 8}) {
 		t.Run(name, func(t *testing.T) {
@@ -697,15 +698,11 @@ func TestSubmitAfterCloseUniformErrStopped(t *testing.T) {
 			if err := rt.Wait(context.Background()); !errors.Is(err, ErrStopped) {
 				t.Errorf("Wait after Close = %v, want ErrStopped", err)
 			}
-			sharded, ok := rt.(*Runtime)
-			if !ok {
-				return
-			}
 			for _, batch := range [][]Task{
 				nil, // the empty batch must not short-circuit to success
 				{{Deps: []Dep{InOut("k")}, Do: func(context.Context) error { return nil }}},
 			} {
-				handles, err := sharded.SubmitAll(context.Background(), batch)
+				handles, err := rt.SubmitAll(context.Background(), batch)
 				if !errors.Is(err, ErrStopped) {
 					t.Errorf("SubmitAll(len=%d) after Close = %v, want ErrStopped", len(batch), err)
 				}

@@ -27,9 +27,9 @@ import (
 var ErrTaskTimeout = errors.New("starss: task deadline exceeded")
 
 // executor runs task bodies with fault injection, per-task deadlines and
-// the retry policy. Both runtimes embed one; the callbacks let the sharded
-// runtime emit lifecycle events and count retries without the executor
-// knowing about either.
+// the retry policy. The Runtime embeds one; the callbacks let it emit
+// lifecycle events and count retries without the executor knowing about
+// either.
 type executor struct {
 	// faults injects task-level faults; nil (the default) disables
 	// injection at the cost of one branch per task.

@@ -1,287 +1,73 @@
 package starss
 
-import (
-	"context"
-	"sync"
-	"sync/atomic"
-
-	"nexuspp/internal/segtab"
-)
-
 // This file keeps the single-maestro resolver as a measurable baseline, the
 // same way internal/nexus1 and internal/softrts model the systems the paper
-// compares against. Every Submit and every task-finished event funnels
-// through one resolver goroutine over synchronous channels — the software
-// serialization bottleneck the paper's SSI motivation describes and the
-// sharded Runtime removes. What is the maestro's own is that goroutine: it
-// owns the one dependence table (internal/segtab, the same table each
-// sharded bank holds) and the counters, barriers and window accounting.
-// Task validation, handles, the worker pipeline and the executor are the
-// sharded runtime's, so benchmarks drive both through the TaskRuntime
-// interface and compare like-for-like. New code should use New; use
-// NewMaestro only to measure against it (nexusbench exp shards,
+// compares against. A maestro runtime is a *Runtime that differs in one
+// respect only: every Check Deps and every Handle Finished runs on a single
+// resolver goroutine over one bank — the software serialization bottleneck
+// the paper's SSI motivation describes and the sharded runtime removes.
+// Admission, window accounting, handles, workers, the executor, Scope,
+// WaitOn and the event stream are the sharded runtime's, so benchmarks
+// that compare the two measure the resolver alone. New code should use
+// New; use NewMaestro only to measure against it (nexusbench exp shards,
 // BenchmarkShardScalability).
 
-// TaskRuntime is the execution interface shared by the sharded Runtime and
-// the retained single-maestro baseline, for benchmarks that drive both.
-type TaskRuntime interface {
-	Submit(ctx context.Context, t Task) (*Handle, error)
-	MustSubmit(t Task) *Handle
-	Wait(ctx context.Context) error
-	Stats() Stats
-	Close() error
+// finished is one task-finished event on its way to the maestro: the node
+// and the worker that ran it.
+type finished struct {
+	node   *taskNode
+	worker int
 }
 
-// MaestroRuntime is the original single-resolver runtime. All dependency
-// state is owned by one maestro goroutine; Submit hands every task to it
-// over an unbuffered channel and finished tasks queue back the same way.
-type MaestroRuntime struct {
-	submitCh chan *taskNode
-	doneCh   chan *taskNode
-	barrier  chan chan struct{}
-	statsCh  chan chan Stats
-	window   chan struct{}
-	readyCh  chan *taskNode
-	stopOnce sync.Once
-	// drain tells the maestro goroutine to finish every in-flight task and
-	// exit; stopped is closed only after it has, so late submitters and
-	// waiters blocked on the maestro's channels always unblock into
-	// ErrStopped instead of deadlocking against a gone resolver.
-	drain     chan struct{}
-	stopped   chan struct{}
-	exec      executor
-	retried   atomic.Uint64
-	nextIndex atomic.Uint64
-	firstErr  atomic.Pointer[taskFailure]
-	final     Stats // snapshot taken by Close, readable afterwards
-	workerWG  sync.WaitGroup
-	maestroW  sync.WaitGroup
+// NewMaestro starts the single-maestro baseline: a runtime with one bank
+// whose dependence resolution all runs on one goroutine. cfg.Shards is
+// ignored.
+func NewMaestro(cfg Config) *Runtime {
+	cfg.Shards = 1
+	return start(cfg, true)
 }
 
-// NewMaestro starts the single-maestro baseline runtime. It supports the
-// full task lifecycle (Submit, Wait, Stats, Close, handles, poisoning) but
-// not the sharded Runtime's extensions (SubmitAll, WaitOn, graph
-// recording).
-func NewMaestro(cfg Config) *MaestroRuntime {
-	cfg = cfg.withDefaults()
-	m := &MaestroRuntime{
-		submitCh: make(chan *taskNode),
-		doneCh:   make(chan *taskNode, cfg.Workers),
-		barrier:  make(chan chan struct{}),
-		statsCh:  make(chan chan Stats),
-		window:   make(chan struct{}, cfg.Window),
-		readyCh:  make(chan *taskNode, cfg.Window),
-		drain:    make(chan struct{}),
-		stopped:  make(chan struct{}),
-	}
-	m.exec = executor{
-		faults: cfg.Faults,
-		onRetry: func(*taskNode, int, int) {
-			m.retried.Add(1)
-		},
-	}
-	m.maestroW.Add(1)
-	go m.maestro()
-	startWorkers(cfg, m.readyCh, &m.workerWG, func(node *taskNode, id int) {
-		m.exec.runNode(node, id)
-		m.doneCh <- node
-	})
-	return m
+// startMaestro creates the resolver's channels and starts it; start calls
+// it before the workers exist, so every worker sees doneCh set.
+func (rt *Runtime) startMaestro() {
+	rt.newCh = make(chan *taskNode)
+	// One slot per worker: each has at most one finished task to hand over.
+	rt.doneCh = make(chan finished, rt.cfg.Workers)
+	rt.maestroDone = make(chan struct{})
+	go rt.maestro()
 }
 
-// Submit enqueues a task through the maestro goroutine and returns its
-// handle. It blocks while the window is full — cancelling ctx unblocks it —
-// and the ctx is also the context the task body receives. A nil ctx means
-// context.Background().
-func (m *MaestroRuntime) Submit(ctx context.Context, t Task) (*Handle, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	node, err := makeNode(ctx, t)
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	select {
-	case <-m.stopped:
-		return nil, ErrStopped
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case m.window <- struct{}{}:
-	}
-	node.bind(m.nextIndex.Add(1) - 1)
-	select {
-	case <-m.stopped:
-		<-m.window
-		return nil, ErrStopped
-	case <-ctx.Done():
-		<-m.window
-		return nil, ctx.Err()
-	case m.submitCh <- node:
-		return node.handle, nil
-	}
-}
-
-// MustSubmit is Submit with a background context that panics on submission
-// error.
-func (m *MaestroRuntime) MustSubmit(t Task) *Handle {
-	h, err := m.Submit(context.Background(), t)
-	if err != nil {
-		panic(err)
-	}
-	return h
-}
-
-// Wait blocks until every task submitted before the call has completed and
-// returns the first task failure recorded so far, ctx.Err() on
-// cancellation, or ErrStopped when the runtime is already closed.
-func (m *MaestroRuntime) Wait(ctx context.Context) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	reply := make(chan struct{})
-	select {
-	case <-m.stopped:
-		return ErrStopped
-	case <-ctx.Done():
-		return ctx.Err()
-	case m.barrier <- reply:
-	}
-	select {
-	case <-reply:
-		return m.failure()
-	case <-ctx.Done():
-		// The abandoned reply channel is closed by the maestro at the next
-		// idle transition; nothing leaks beyond it.
-		return ctx.Err()
-	}
-}
-
-// failure returns the first recorded root-cause task failure, or nil.
-func (m *MaestroRuntime) failure() error {
-	if f := m.firstErr.Load(); f != nil {
-		return f.err
-	}
-	return nil
-}
-
-// Stats returns a snapshot of the runtime counters.
-func (m *MaestroRuntime) Stats() Stats {
-	reply := make(chan Stats, 1)
-	select {
-	case <-m.stopped:
-		return m.final
-	case m.statsCh <- reply:
-		s := <-reply
-		s.Retried = m.retried.Load()
-		return s
-	}
-}
-
-// Close waits for all submitted tasks, stops the workers and returns the
-// first task failure (nil when every task succeeded).
-func (m *MaestroRuntime) Close() error {
-	_ = m.Wait(context.Background()) // ErrStopped here means already drained
-	m.stopOnce.Do(func() {
-		// Tell the maestro to drain: a Submit that raced past the Wait
-		// above has either been admitted (the maestro finishes it before
-		// exiting) or is still blocked on submitCh and backs out with
-		// ErrStopped once stopped closes below. The maestro snapshots the
-		// final stats before exiting, so closing stopped afterwards
-		// publishes them to Stats callers.
-		close(m.drain)
-		m.maestroW.Wait()
-		close(m.stopped)
-		close(m.readyCh)
-	})
-	m.workerWG.Wait()
-	return m.failure()
-}
-
-// maestro owns all dependency state; it is the software Task Maestro.
-func (m *MaestroRuntime) maestro() {
-	defer m.maestroW.Done()
-	var (
-		segs     segtab.Table[Key, *taskNode]
-		stats    Stats
-		inFlight int
-		barriers []chan struct{}
-	)
-	finish := func(node *taskNode) {
-		root := node.rootCause()
-		switch {
-		case node.wasSkipped:
-			stats.Skipped++
-		case node.err != nil:
-			stats.Failed++
-			m.firstErr.CompareAndSwap(nil, &taskFailure{err: node.err})
-		default:
-			stats.Executed++
-		}
-		inFlight--
-		var buf [8]segtab.Grant[*taskNode]
-		granted := buf[:0]
-		for _, d := range node.deps {
-			granted = segs.Leave(d.Key, d.Mode != ModeIn, root, granted)
-		}
-		for _, g := range granted {
-			if release(g) {
-				m.readyCh <- g.Waiter
-			}
-		}
-		node.handle.complete(node.err)
-		<-m.window
-		if inFlight == 0 {
-			for _, b := range barriers {
-				close(b)
-			}
-			barriers = barriers[:0]
-		}
-	}
+// maestro is the software Task Maestro: it runs Check Deps for every
+// admitted task, in the order admission sends them, and Handle Finished for
+// every finished one, so the finish-side accounting (counters, handle
+// completion, window release, barriers, WaitOn wake-ups) is serialized on
+// it. It records its events on the external lane, because each worker lane
+// must have its worker as sole emitter. It never waits on subMu or on a
+// submitter (its readyCh sends fit the window-sized buffer), so admission
+// may send on newCh under subMu. It exits when Close closes newCh.
+func (rt *Runtime) maestro() {
+	defer close(rt.maestroDone)
 	for {
 		select {
-		case <-m.drain:
-			for inFlight > 0 {
-				finish(<-m.doneCh)
+		case node, ok := <-rt.newCh:
+			if !ok {
+				return
 			}
-			for _, b := range barriers {
-				close(b)
-			}
-			stats.Retried = m.retried.Load()
-			m.final = stats
-			return
-		case reply := <-m.statsCh:
-			reply <- stats
-		case reply := <-m.barrier:
-			if inFlight == 0 {
-				close(reply)
-			} else {
-				barriers = append(barriers, reply)
-			}
-		case node := <-m.submitCh:
-			stats.Submitted++
-			inFlight++
-			if inFlight > stats.MaxInFlight {
-				stats.MaxInFlight = inFlight
-			}
-			dc := int32(0)
-			for _, d := range node.deps {
-				queued, poison := segs.Join(d.Key, d.Mode != ModeIn, node)
-				node.inherit(poison)
-				if queued > 0 {
-					dc++
-				}
-			}
-			node.dc.Store(dc)
-			if dc == 0 {
-				m.readyCh <- node
-			} else {
-				stats.Hazards++
-			}
-		case node := <-m.doneCh:
-			finish(node)
+			rt.resolveNew(node)
+		case f := <-rt.doneCh:
+			rt.resolveFinished(f.node, -1, f.worker)
 		}
 	}
+}
+
+// stopMaestro stops the resolver goroutine of a maestro runtime; it is a
+// no-op on the sharded runtime. Close calls it once the runtime is idle,
+// admission is fenced off and the workers have exited, so neither channel
+// has a sender left and doneCh is empty.
+func (rt *Runtime) stopMaestro() {
+	if rt.newCh == nil {
+		return
+	}
+	close(rt.newCh)
+	<-rt.maestroDone
 }

@@ -2,7 +2,7 @@ package starss
 
 // This file is the bridge between the traced-workload world (internal/trace,
 // internal/workload) and the executing runtime: it replays any workload.Source
-// on a real TaskRuntime by synthesizing task bodies from the trace's timing.
+// on a real Runtime by synthesizing task bodies from the trace's timing.
 // For the first time the real runtime's schedules can be cross-validated
 // against the dependency-graph oracle and the Nexus++ simulator on the
 // paper's own workloads — the same trace drives every engine.
@@ -28,8 +28,7 @@ type ReplayOptions struct {
 	TimeScale int
 }
 
-// replayBatch is the SubmitAll chunk size Replay feeds runtimes that
-// support batch admission.
+// replayBatch is the SubmitAll chunk size Replay feeds the runtime.
 const replayBatch = 256
 
 // ReplayResult reports one replay of a traced workload on a real runtime.
@@ -62,12 +61,6 @@ func statsDelta(before, after Stats) Stats {
 		BankContended:    after.BankContended - before.BankContended,
 		BankMaxQueue:     after.BankMaxQueue,
 	}
-}
-
-// batchSubmitter is implemented by runtimes with batch admission (the
-// sharded Runtime); the maestro baseline intentionally lacks it.
-type batchSubmitter interface {
-	SubmitAll(ctx context.Context, tasks []Task) ([]*Handle, error)
 }
 
 // durationOf converts a simulated time into wall-clock time.
@@ -125,50 +118,35 @@ func sleepFor(ctx context.Context, d time.Duration) error {
 }
 
 // Replay runs src to completion on rt: every traced task is admitted in
-// submission order with its parameter list as dependencies and a body
-// synthesized from its timing, then Replay waits for the final barrier. The
-// runtime is left open (the caller owns its lifecycle), so several replays
-// can share one runtime as long as their key spaces are disjoint or drained.
-//
-// Sharded runtimes are fed through SubmitAll in chunks of replayBatch; the
-// single-maestro baseline, which has no batch admission, is fed one task at
-// a time — exactly the serialization it exists to measure.
-func Replay(ctx context.Context, rt TaskRuntime, src workload.Source, opts ReplayOptions) (*ReplayResult, error) {
+// submission order, through SubmitAll in chunks of replayBatch, with its
+// parameter list as dependencies and a body synthesized from its timing;
+// then Replay waits for the final barrier. The runtime is left open (the
+// caller owns its lifecycle), so several replays can share one runtime as
+// long as their key spaces are disjoint or drained.
+func Replay(ctx context.Context, rt *Runtime, src workload.Source, opts ReplayOptions) (*ReplayResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	src.Reset()
 	before := rt.Stats()
 	start := time.Now()
-	if bs, ok := rt.(batchSubmitter); ok {
-		buf := make([]Task, 0, replayBatch)
-		for {
-			spec, ok := src.Next()
-			if !ok {
-				break
-			}
-			buf = append(buf, TaskFromSpec(spec, opts))
-			if len(buf) == replayBatch {
-				if _, err := bs.SubmitAll(ctx, buf); err != nil {
-					return nil, fmt.Errorf("starss: replay %s: %w", src.Name(), err)
-				}
-				buf = buf[:0]
-			}
+	buf := make([]Task, 0, replayBatch)
+	for {
+		spec, ok := src.Next()
+		if !ok {
+			break
 		}
-		if len(buf) > 0 {
-			if _, err := bs.SubmitAll(ctx, buf); err != nil {
+		buf = append(buf, TaskFromSpec(spec, opts))
+		if len(buf) == replayBatch {
+			if _, err := rt.SubmitAll(ctx, buf); err != nil {
 				return nil, fmt.Errorf("starss: replay %s: %w", src.Name(), err)
 			}
+			buf = buf[:0]
 		}
-	} else {
-		for {
-			spec, ok := src.Next()
-			if !ok {
-				break
-			}
-			if _, err := rt.Submit(ctx, TaskFromSpec(spec, opts)); err != nil {
-				return nil, fmt.Errorf("starss: replay %s: %w", src.Name(), err)
-			}
+	}
+	if len(buf) > 0 {
+		if _, err := rt.SubmitAll(ctx, buf); err != nil {
+			return nil, fmt.Errorf("starss: replay %s: %w", src.Name(), err)
 		}
 	}
 	if err := rt.Wait(ctx); err != nil {

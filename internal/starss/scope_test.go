@@ -264,3 +264,75 @@ func TestScopeWaitOn(t *testing.T) {
 		t.Fatalf("scoped WaitOn blocked on another scope's segment: %v", err)
 	}
 }
+
+// TestMaestroScopeAndWaitOn runs Scope isolation and WaitOn on the
+// single-maestro baseline, which shares both with the sharded runtime: a
+// writer gated in scope A must not hold back scope B's writer on the same
+// user key, B's WaitOn must return while A still holds the key, and A's
+// WaitOn must wait for A's writer and wake once it finishes.
+func TestMaestroScopeAndWaitOn(t *testing.T) {
+	rt := NewMaestro(Config{Workers: 2, Window: 16, BufferingDepth: 1})
+	defer rt.Close()
+	a := rt.Scope("a")
+	b := rt.Scope("b")
+
+	gate := make(chan struct{})
+	openGate := sync.OnceFunc(func() { close(gate) })
+	defer openGate() // a test failure must not wedge the deferred Close
+	ha, err := a.Submit(context.Background(), Task{
+		Deps: []Dep{InOut("k")},
+		Do: func(ctx context.Context) error {
+			select {
+			case <-gate:
+				return nil
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hb, err := b.Submit(context.Background(), Task{
+		Deps: []Dep{InOut("k")},
+		Do:   func(context.Context) error { return nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := hb.Wait(ctx); err != nil {
+		t.Fatalf("scope B's writer did not complete while scope A held the same user key: %v", err)
+	}
+	if err := b.WaitOn(ctx, "k"); err != nil {
+		t.Fatalf("scoped WaitOn blocked on another scope's segment: %v", err)
+	}
+	short, cancelShort := context.WithTimeout(ctx, 20*time.Millisecond)
+	defer cancelShort()
+	if err := a.WaitOn(short, "k"); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("WaitOn on a key held by a gated writer = %v, want DeadlineExceeded", err)
+	}
+	waited := make(chan error, 1)
+	go func() { waited <- a.WaitOn(ctx, "k") }()
+	// Open the gate only once the waiter is registered, so it is woken by
+	// the finish path rather than finding the key already quiet.
+	for rt.waiterCount.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	openGate()
+	if err := <-waited; err != nil {
+		t.Fatalf("WaitOn after the writer finished = %v", err)
+	}
+	select {
+	case <-ha.Done():
+	default:
+		t.Fatal("WaitOn returned before scope A's writer completed")
+	}
+	if st := a.Stats(); st.Executed != 1 || st.Submitted != 1 {
+		t.Errorf("scope A stats = %s, want 1 submitted / 1 executed", st)
+	}
+	if st := b.Stats(); st.Executed != 1 || st.Submitted != 1 {
+		t.Errorf("scope B stats = %s, want 1 submitted / 1 executed", st)
+	}
+}

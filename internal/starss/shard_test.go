@@ -256,7 +256,7 @@ func TestBankIndexStable(t *testing.T) {
 // honest: it must execute the same chains with the same ordering and
 // counters as the sharded runtime it is benchmarked against.
 func TestMaestroBaselineSemantics(t *testing.T) {
-	var rt TaskRuntime = NewMaestro(Config{Workers: 4, Window: 32})
+	rt := NewMaestro(Config{Workers: 4, Window: 32})
 	var order []int
 	var mu sync.Mutex
 	for i := 0; i < 40; i++ {

@@ -156,13 +156,9 @@ type Config struct {
 	// Shards is the number of dependency-table banks the key space is
 	// hashed across — the software analogue of the Nexus++ Dependence
 	// Table banks. Tasks on keys in different banks resolve concurrently;
-	// 1 reproduces the old single-resolver serialization. Values are
-	// rounded up to a power of two; 0 selects a default scaled to
-	// Workers.
+	// 1 is a single bank. Values are rounded up to a power of two; 0
+	// selects a default scaled to Workers. NewMaestro ignores it.
 	Shards int
-	// RecordGraph keeps the discovered task graph (names and dependency
-	// edges) for Graph/ExportDOT. Memory grows with the task count.
-	RecordGraph bool
 	// EventBuffer enables the lifecycle event stream (submit/ready/run/
 	// finish/poison) and sets the per-lane ring capacity; 0 (the default)
 	// disables it, leaving a single nil check on every emission point.
@@ -330,7 +326,14 @@ type Runtime struct {
 	waiters     []waitReq
 	waiterCount atomic.Int32
 
-	recorder *graphRecorder
+	// newCh and doneCh feed the single-maestro baseline's resolver
+	// goroutine (maestro.go): admission sends every admitted node on newCh
+	// and workers send every finished task on doneCh. Both are nil on the
+	// sharded runtime, which resolves in the caller.
+	newCh  chan *taskNode
+	doneCh chan finished
+	// maestroDone is closed when the resolver goroutine has exited.
+	maestroDone chan struct{}
 
 	// rec is the lifecycle event stream (nil unless Config.EventBuffer is
 	// set); bankStats gates the per-bank lock counters. Both are fixed at
@@ -423,7 +426,11 @@ func (cfg Config) withDefaults() Config {
 }
 
 // New starts a runtime with the given configuration.
-func New(cfg Config) *Runtime {
+func New(cfg Config) *Runtime { return start(cfg, false) }
+
+// start builds and starts a runtime; maestro selects the single-maestro
+// baseline's resolver goroutine (NewMaestro).
+func start(cfg Config, maestro bool) *Runtime {
 	cfg = cfg.withDefaults()
 	if cfg.Shards <= 0 {
 		cfg.Shards = defaultShards(cfg.Workers)
@@ -436,9 +443,6 @@ func New(cfg Config) *Runtime {
 		window:  make(chan struct{}, cfg.Window),
 		readyCh: make(chan *taskNode, cfg.Window),
 		stopped: make(chan struct{}),
-	}
-	if cfg.RecordGraph {
-		rt.recorder = newGraphRecorder()
 	}
 	if cfg.EventBuffer > 0 {
 		rt.rec = obs.NewRecorder(cfg.Workers, cfg.EventBuffer)
@@ -454,7 +458,10 @@ func New(cfg Config) *Runtime {
 			rt.emit(worker, obs.KindFault, node, worker)
 		},
 	}
-	startWorkers(cfg, rt.readyCh, &rt.workerWG, rt.runBody)
+	if maestro {
+		rt.startMaestro()
+	}
+	rt.startWorkers()
 	return rt
 }
 
@@ -575,10 +582,11 @@ func (rt *Runtime) unlockBanks(banks []int) {
 // and is observable from inside Do once it has. A nil ctx means
 // context.Background().
 //
-// Dependency resolution happens synchronously in the caller: tasks
-// submitted from one goroutine acquire segments in exact program order
-// (the StarSs sequential-semantics contract). Tasks submitted concurrently
-// from several goroutines are ordered by bank acquisition.
+// Dependency resolution happens synchronously in the caller (on the
+// resolver goroutine, in admission order, for NewMaestro): tasks submitted
+// from one goroutine acquire segments in exact program order (the StarSs
+// sequential-semantics contract). Tasks submitted concurrently from
+// several goroutines are ordered by bank acquisition.
 func (rt *Runtime) Submit(ctx context.Context, t Task) (*Handle, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -609,7 +617,11 @@ func (rt *Runtime) Submit(ctx context.Context, t Task) (*Handle, error) {
 	default:
 	}
 	rt.admit(node)
-	rt.resolveNew(node)
+	if rt.newCh != nil {
+		rt.newCh <- node
+	} else {
+		rt.resolveNew(node)
+	}
 	rt.subMu.RUnlock()
 	return node.handle, nil
 }
@@ -700,14 +712,21 @@ func (rt *Runtime) submitChunk(ctx context.Context, nodes []*taskNode) error {
 		return ErrStopped
 	default:
 	}
+	for _, node := range nodes {
+		rt.admit(node)
+	}
+	if rt.newCh != nil {
+		for _, node := range nodes {
+			rt.newCh <- node
+		}
+		rt.subMu.RUnlock()
+		return nil
+	}
 	var banks []int
 	for _, node := range nodes {
 		banks = append(banks, node.banks...)
 	}
 	uniq := sortedUnique(banks)
-	for _, node := range nodes {
-		rt.admit(node)
-	}
 	ready := make([]*taskNode, 0, len(nodes))
 	rt.lockBanks(uniq)
 	for _, node := range nodes {
@@ -751,19 +770,19 @@ func (node *taskNode) bind(idx uint64) {
 }
 
 // admit binds the node to the next task ID and accounts for it in the
-// window and the graph recorder. The caller must already hold a window
-// token.
+// window. The caller must already hold the node's window token.
 func (rt *Runtime) admit(node *taskNode) {
 	node.bind(rt.submitted.Add(1) - 1)
-	n := rt.inFlight.Add(1)
+	rt.inFlight.Add(1)
+	// The high-water mark is the window occupancy, not inFlight: a finisher
+	// returns its token before it decrements inFlight, so inFlight can
+	// briefly read one above the tokens actually held.
+	n := int64(len(rt.window))
 	for {
 		max := rt.maxInFlight.Load()
 		if n <= max || rt.maxInFlight.CompareAndSwap(max, n) {
 			break
 		}
-	}
-	if rt.recorder != nil {
-		rt.recorder.record(node)
 	}
 	rt.emit(-1, obs.KindSubmit, node, -1)
 }
@@ -849,8 +868,10 @@ func (node *taskNode) rootCause() error {
 // reaches zero. A failed (or skipped) finisher poisons the segments it
 // leaves, so every waiter released behind it — now or by a later finisher
 // — is skipped as a transitive dependent while the kick-off lists drain
-// normally. worker is the finishing worker's index, for the event stream.
-func (rt *Runtime) resolveFinished(node *taskNode, worker int) {
+// normally. worker is the finishing worker's index and lane the event lane
+// its releases are recorded on: the worker's own lane when the worker
+// resolves, the external lane (-1) when the maestro does.
+func (rt *Runtime) resolveFinished(node *taskNode, lane, worker int) {
 	root := node.rootCause()
 	var buf [8]segtab.Grant[*taskNode]
 	granted := buf[:0]
@@ -861,7 +882,7 @@ func (rt *Runtime) resolveFinished(node *taskNode, worker int) {
 	rt.unlockBanks(node.banks)
 	for _, g := range granted {
 		if release(g) {
-			rt.emit(worker, obs.KindReady, g.Waiter, worker)
+			rt.emit(lane, obs.KindReady, g.Waiter, worker)
 			rt.readyCh <- g.Waiter
 		}
 	}
@@ -1045,8 +1066,9 @@ func (rt *Runtime) Close() error {
 		rt.subMu.Unlock()
 		rt.waitIdle()
 		close(rt.readyCh)
+		rt.workerWG.Wait()
+		rt.stopMaestro()
 	})
-	rt.workerWG.Wait()
 	return rt.failure()
 }
 
@@ -1088,12 +1110,13 @@ func normalizeDeps(deps []Dep) (out []Dep, hash []uint64, err error) {
 	return out, hash[:len(out)], nil
 }
 
-// startWorkers starts cfg.Workers workers on ready and adds them to wg;
-// each exits once ready is closed and drained. A worker is one worker core
-// plus its Task Controller: a small pipeline that prefetches the inputs of
-// up to BufferingDepth-1 upcoming tasks while the current one executes.
-// run executes one node on worker id.
-func startWorkers(cfg Config, ready <-chan *taskNode, wg *sync.WaitGroup, run func(node *taskNode, id int)) {
+// startWorkers starts cfg.Workers workers on readyCh and adds them to
+// workerWG; each exits once readyCh is closed and drained. A worker is one
+// worker core plus its Task Controller: a small pipeline that prefetches
+// the inputs of up to BufferingDepth-1 upcoming tasks while the current one
+// executes (runBody).
+func (rt *Runtime) startWorkers() {
+	cfg, ready, wg := rt.cfg, rt.readyCh, &rt.workerWG
 	wg.Add(cfg.Workers)
 	for id := 0; id < cfg.Workers; id++ {
 		go func() {
@@ -1102,7 +1125,7 @@ func startWorkers(cfg Config, ready <-chan *taskNode, wg *sync.WaitGroup, run fu
 				// No buffering: fetch, run and write back serially.
 				for node := range ready {
 					prefetchNode(node)
-					run(node, id)
+					rt.runBody(node, id)
 				}
 				return
 			}
@@ -1122,7 +1145,7 @@ func startWorkers(cfg Config, ready <-chan *taskNode, wg *sync.WaitGroup, run fu
 				}
 			}()
 			for node := range local {
-				run(node, id)
+				rt.runBody(node, id)
 			}
 			ctlWG.Wait()
 		}()
@@ -1166,5 +1189,9 @@ func (rt *Runtime) runBody(node *taskNode, id int) {
 	} else {
 		rt.emit(id, obs.KindFinish, node, id)
 	}
-	rt.resolveFinished(node, id)
+	if rt.doneCh != nil {
+		rt.doneCh <- finished{node: node, worker: id}
+		return
+	}
+	rt.resolveFinished(node, id, id)
 }

@@ -139,23 +139,19 @@ func TestSubmitErrors(t *testing.T) {
 				t.Error("task without a body accepted")
 			}
 			// A batch whose task i has no body is rejected whole, naming i.
-			if b, ok := rt.(interface {
-				SubmitAll(context.Context, []Task) ([]*Handle, error)
-			}); ok {
-				const bad = 2
-				tasks := make([]Task, 4)
-				for i := range tasks {
-					if i != bad {
-						tasks[i] = Task{Deps: []Dep{Out(i)}, Do: func(context.Context) error { return nil }}
-					}
+			const bad = 2
+			tasks := make([]Task, 4)
+			for i := range tasks {
+				if i != bad {
+					tasks[i] = Task{Deps: []Dep{Out(i)}, Do: func(context.Context) error { return nil }}
 				}
-				if _, err := b.SubmitAll(context.Background(), tasks); err == nil ||
-					!strings.Contains(err.Error(), fmt.Sprintf("task %d:", bad)) {
-					t.Errorf("SubmitAll with task %d bodiless = %v, want an error naming it", bad, err)
-				}
-				if st := rt.Stats(); st.Submitted != 0 {
-					t.Errorf("rejected batch admitted tasks: %+v", st)
-				}
+			}
+			if _, err := rt.SubmitAll(context.Background(), tasks); err == nil ||
+				!strings.Contains(err.Error(), fmt.Sprintf("task %d:", bad)) {
+				t.Errorf("SubmitAll with task %d bodiless = %v, want an error naming it", bad, err)
+			}
+			if st := rt.Stats(); st.Submitted != 0 {
+				t.Errorf("rejected batch admitted tasks: %+v", st)
 			}
 			if err := rt.Close(); err != nil {
 				t.Errorf("Close = %v", err)
@@ -219,18 +215,14 @@ func TestUnhashableKeyRejected(t *testing.T) {
 				_, err := rt.Submit(ctx, Task{Deps: []Dep{Out("a"), InOut(map[int]int{})}, Do: noop})
 				return err
 			}), "dep 1:")
-			if b, ok := rt.(batchSubmitter); ok {
-				check(guard(func() error {
-					_, err := b.SubmitAll(ctx, []Task{
-						{Deps: []Dep{Out("a")}, Do: noop},
-						{Deps: []Dep{In([]int{2})}, Do: noop},
-					})
-					return err
-				}), "task 1:", "dep 0:")
-			}
-			if r, ok := rt.(*Runtime); ok {
-				check(guard(func() error { return r.WaitOn(ctx, "a", []int{3}) }), "key 1:")
-			}
+			check(guard(func() error {
+				_, err := rt.SubmitAll(ctx, []Task{
+					{Deps: []Dep{Out("a")}, Do: noop},
+					{Deps: []Dep{In([]int{2})}, Do: noop},
+				})
+				return err
+			}), "task 1:", "dep 0:")
+			check(guard(func() error { return rt.WaitOn(ctx, "a", []int{3}) }), "key 1:")
 			if st := rt.Stats(); st.Submitted != 0 {
 				t.Errorf("rejected tasks were admitted: %+v", st)
 			}

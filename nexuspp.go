@@ -17,13 +17,13 @@ import (
 
 // Backend is one execution engine driving a traced workload to completion
 // behind the unified API: Name, Describe, and
-// Run(ctx, BackendConfig, Source) -> *Report. Five engines are registered:
+// Run(ctx, BackendConfig, Source) -> *Report. There are five engines:
 //
 //	nexuspp  the Nexus++ hardware simulator (the paper's SSIII model)
 //	nexus    the original-Nexus simulator (hard limits; may reject workloads)
 //	softrts  the software StarSs runtime model
 //	runtime  the executing sharded runtime replaying the trace for real
-//	maestro  the executing single-resolver baseline
+//	maestro  the executing single-maestro baseline (one resolver goroutine)
 type Backend = backend.Backend
 
 // BackendConfig is the engine-independent run configuration; engines ignore
@@ -35,19 +35,15 @@ type BackendConfig = backend.Config
 // Detail with the engine's native result.
 type Report = backend.Report
 
-// WorkloadInfo is one named entry of the workload registry.
+// WorkloadInfo is one named entry of the workload list.
 type WorkloadInfo = backend.WorkloadInfo
 
-// Backends returns every registered backend sorted by name.
+// Backends returns every backend sorted by name.
 func Backends() []Backend { return backend.All() }
 
 // LookupBackend resolves a backend by name; an unknown name fails with an
 // error listing every valid name.
 func LookupBackend(name string) (Backend, error) { return backend.Lookup(name) }
-
-// RegisterBackend adds a custom engine to the registry; it panics on a
-// duplicate or empty name.
-func RegisterBackend(b Backend) { backend.Register(b) }
 
 // LookupWorkload resolves a named workload; an unknown name fails with an
 // error listing every valid name in sorted order.
