@@ -44,20 +44,47 @@ func (rt *Runtime) startMaestro() {
 // it. It records its events on the external lane, because each worker lane
 // must have its worker as sole emitter. It never waits on subMu or on a
 // submitter (its readyCh sends fit the window-sized buffer), so admission
-// may send on newCh under subMu. It exits when Close closes newCh.
+// may send on newCh under subMu. A nil node is fenceMaestro's marker and
+// is skipped. It exits when Close closes newCh.
 func (rt *Runtime) maestro() {
 	defer close(rt.maestroDone)
 	for {
 		select {
 		case node, ok := <-rt.newCh:
-			if !ok {
+			switch {
+			case !ok:
 				return
+			case node != nil:
+				rt.resolveNew(node)
 			}
-			rt.resolveNew(node)
 		case f := <-rt.doneCh:
 			rt.resolveFinished(f.node, -1, f.worker)
 		}
 	}
+}
+
+// fenceMaestro returns once the resolver goroutine of a maestro runtime
+// has run Check Deps for every task whose Submit returned before the call,
+// so a probe of the segments that follows sees those tasks; it is a no-op
+// on the sharded runtime, which resolves in the submitter. It sends a nil
+// marker on newCh: the channel is unbuffered and the goroutine drains it in
+// order, so it takes the marker only after resolving every node sent
+// before it. Like admission it sends under subMu and only while the
+// runtime runs, because Close closes newCh after stopped; it reports false
+// when the runtime is stopped.
+func (rt *Runtime) fenceMaestro() bool {
+	if rt.newCh == nil {
+		return true
+	}
+	rt.subMu.RLock()
+	defer rt.subMu.RUnlock()
+	select {
+	case <-rt.stopped:
+		return false
+	default:
+	}
+	rt.newCh <- nil
+	return true
 }
 
 // stopMaestro stops the resolver goroutine of a maestro runtime; it is a

@@ -773,11 +773,15 @@ func (node *taskNode) bind(idx uint64) {
 // window. The caller must already hold the node's window token.
 func (rt *Runtime) admit(node *taskNode) {
 	node.bind(rt.submitted.Add(1) - 1)
-	rt.inFlight.Add(1)
-	// The high-water mark is the window occupancy, not inFlight: a finisher
-	// returns its token before it decrements inFlight, so inFlight can
-	// briefly read one above the tokens actually held.
-	n := int64(len(rt.window))
+	// The high-water mark is the smaller of inFlight and the window
+	// occupancy. Each can read high on its own: a finisher returns its
+	// token before it decrements inFlight, and the window also holds the
+	// tokens of submitters not yet admitted. The minimum is bounded by
+	// both, so it exceeds neither Window nor the admitted tasks.
+	n := rt.inFlight.Add(1)
+	if w := int64(len(rt.window)); w < n {
+		n = w
+	}
 	for {
 		max := rt.maxInFlight.Load()
 		if n <= max || rt.maxInFlight.CompareAndSwap(max, n) {

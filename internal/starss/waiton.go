@@ -31,6 +31,11 @@ func (rt *Runtime) WaitOn(ctx context.Context, keys ...Key) error {
 			return fmt.Errorf("starss: WaitOn key %d: %w", i, err)
 		}
 	}
+	// On the maestro a returned Submit may not have joined its segments
+	// yet; let the resolver catch up before probing them.
+	if !rt.fenceMaestro() {
+		return ErrStopped
+	}
 	// Register before probing: the finish path only takes coord when it
 	// sees a positive waiter count, so the count must be visible before
 	// the segments this waiter saw busy can drain.

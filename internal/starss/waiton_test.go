@@ -2,8 +2,10 @@ package starss
 
 import (
 	"context"
+	"errors"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestWaitOnKeys(t *testing.T) {
@@ -51,5 +53,34 @@ func TestWaitOnAfterClose(t *testing.T) {
 	}
 	if err := rt.Wait(context.Background()); err != ErrStopped {
 		t.Fatalf("Wait after Close = %v, want ErrStopped", err)
+	}
+}
+
+// TestWaitOnSeesTaskJustSubmitted pins WaitOn's "observes every Submit that
+// returned before the call" on both engines. On the maestro, Submit returns
+// once the resolver goroutine has received the task, before Check Deps has
+// joined it to its segment, so WaitOn must not probe the key before then.
+func TestWaitOnSeesTaskJustSubmitted(t *testing.T) {
+	for name, rt := range newRuntimes(Config{Workers: 2, Window: 8}) {
+		t.Run(name, func(t *testing.T) {
+			defer mustClose(t, rt)
+			for i := 0; i < 50; i++ {
+				gate := make(chan struct{})
+				h := rt.MustSubmit(Task{
+					Deps: []Dep{Out("a")},
+					Do:   func(context.Context) error { <-gate; return nil },
+				})
+				ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+				err := rt.WaitOn(ctx, "a")
+				cancel()
+				close(gate)
+				if !errors.Is(err, context.DeadlineExceeded) {
+					t.Fatalf("round %d: WaitOn(a) with a's task gated = %v, want %v", i, err, context.DeadlineExceeded)
+				}
+				if err := h.Wait(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
 	}
 }
